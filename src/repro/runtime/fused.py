@@ -26,16 +26,19 @@ Two things make the fused path faster than encode-then-pack:
   and the sign-bit packing consume each block while it is cache-hot,
   instead of re-streaming a multi-megabyte tile once per derivation.
 
-The block width is derived from ``D`` (a multiple of 64 so each block
-lands on packed-word boundaries), overridable through
-:func:`set_fused_block_cols` or the ``REPRO_FUSED_BLOCK_COLS``
-environment variable, and exported as the ``reghd_fused_block_cols``
-telemetry gauge.
+The block width is chosen once per scratch set, from its tile height (a
+multiple of 64 so each block lands on packed-word boundaries): the
+widest block whose ``(tile_rows, block)`` slab fits 32 768 elements
+(256 KiB of float64), never narrower than 1024 columns.  Short tiles — a
+1-row point query at D=4096 — therefore encode in one block and pay the
+per-block numpy dispatch once; tiles of 31 rows or more keep
+1024-column blocks.  :func:`set_fused_block_cols` pins the width, and the
+width in use is exported as the ``reghd_fused_block_cols`` telemetry
+gauge.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -45,53 +48,49 @@ from repro.types import FloatArray
 
 __all__ = [
     "EncoderOperands",
-    "FUSED_BLOCK_ENV_VAR",
     "FusedScratch",
     "encode_pack_tile",
     "fused_block_cols",
     "set_fused_block_cols",
 ]
 
-#: environment override for the fused-encode column block width.
-FUSED_BLOCK_ENV_VAR = "REPRO_FUSED_BLOCK_COLS"
+#: element budget of one ``(rows, block)`` float64 slab: 256 KiB, so the
+#: three slabs of a block stay in L2 while the reductions and the bit
+#: packer consume them.
+_SLAB_ELEMENTS = 32768
 
-#: default block width: wide enough that the BLAS projection per block
-#: amortises, narrow enough that the three (tile, block) slabs stay near
-#: cache while the reductions and the bit packer consume them.
-_DEFAULT_BLOCK_COLS = 1024
+#: narrowest automatic block width: wide enough that the BLAS projection
+#: per block amortises on tall tiles.
+_MIN_BLOCK_COLS = 1024
 
 _fused_block_cols: int | None = None
 
 
 def set_fused_block_cols(cols: int | None) -> None:
-    """Pin the fused-encode block width; ``None`` restores the default /
-    environment-variable resolution.  Values round up to a multiple of 64
-    so blocks always align with packed uint64 word boundaries."""
+    """Pin the fused-encode block width; ``None`` restores the automatic
+    width.  Values round up to a multiple of 64 so blocks always align
+    with packed uint64 word boundaries."""
     if cols is not None and int(cols) < 1:
         raise ValueError(f"block width must be >= 1, got {cols}")
     global _fused_block_cols
     _fused_block_cols = None if cols is None else -(-int(cols) // 64) * 64
 
 
-def fused_block_cols(dim: int) -> int:
-    """Column block width for a fused encode over ``dim`` dimensions.
+def fused_block_cols(dim: int, rows: int | None = None) -> int:
+    """Column block width for a fused encode of ``rows`` rows over ``dim``.
 
     A multiple of 64 (so per-block ``packbits`` output lands on uint64
-    word boundaries), never wider than the padded ``dim``.
+    word boundaries), never wider than the padded ``dim``.  A pinned
+    width is used as given.  Otherwise it is the widest width whose
+    ``(rows, width)`` slab fits :data:`_SLAB_ELEMENTS`, but never narrower
+    than 1024 columns; ``rows=None`` asks for a tall tile's width.
     """
     padded = -(-int(dim) // 64) * 64
     cols = _fused_block_cols
     if cols is None:
-        env = os.environ.get(FUSED_BLOCK_ENV_VAR)
-        if env:
-            try:
-                cols = -(-int(env) // 64) * 64
-            except ValueError:
-                cols = None
-            if cols is not None and cols < 64:
-                cols = None
-        if cols is None:
-            cols = _DEFAULT_BLOCK_COLS
+        cols = _MIN_BLOCK_COLS
+        if rows is not None:
+            cols = max(cols, _SLAB_ELEMENTS // max(1, int(rows)) // 64 * 64)
     return max(64, min(cols, padded))
 
 
@@ -114,7 +113,7 @@ class FusedScratch:
     def __init__(self, tile_rows: int, dim: int):
         self.tile_rows = int(tile_rows)
         self.dim = int(dim)
-        self.block_cols = fused_block_cols(dim)
+        self.block_cols = fused_block_cols(dim, self.tile_rows)
         self.n_words = -(-self.dim // 64)
         #: projection / encoding block, reused per column block
         self.proj = np.empty((tile_rows, self.block_cols), dtype=np.float64)
@@ -127,9 +126,6 @@ class FusedScratch:
         #: per-row reduction accumulators
         self.sumsq = np.empty(tile_rows, dtype=np.float64)
         self.sumabs = np.empty(tile_rows, dtype=np.float64)
-        registry = _metrics.active()
-        if registry is not None:
-            registry.gauge("reghd_fused_block_cols").set(self.block_cols)
 
     @property
     def nbytes(self) -> int:
@@ -166,6 +162,9 @@ def encode_pack_tile(
     """
     t, dim = X.shape[0], scratch.dim
     bc = scratch.block_cols
+    registry = _metrics.active()
+    if registry is not None:
+        registry.gauge("reghd_fused_block_cols").set(bc)
     words = scratch.words[:t]
     words_u8 = words.view(np.uint8)
     sumsq = scratch.sumsq[:t]

@@ -20,8 +20,7 @@ the operand tiles and the XOR temporary stay L2-resident regardless of
 batch size — a ``(n, m, words)`` XOR broadcast is never materialised in
 full.  The block shape is derived from the operand word width against a
 byte budget (:func:`popcount_block_bytes`), overridable through
-:func:`set_popcount_block_kib` or the ``REPRO_POPCOUNT_BLOCK_KIB``
-environment variable; the chosen shape is exported as the
+:func:`set_popcount_block_kib`; the chosen shape is exported as the
 ``reghd_popcount_block_rows`` / ``reghd_popcount_block_cols`` telemetry
 gauges.
 """
@@ -29,7 +28,6 @@ gauges.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -46,9 +44,6 @@ _POPCOUNT_TABLE = np.array(
 #: available; the byte-table lookup exists solely as a fallback.
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
-#: environment override for the pairwise-kernel block budget (KiB).
-POPCOUNT_BLOCK_ENV_VAR = "REPRO_POPCOUNT_BLOCK_KIB"
-
 #: default XOR-temporary budget: half a typical per-core L2 slice, so the
 #: two operand tiles and the popcount scratch fit alongside it.
 _DEFAULT_POPCOUNT_BLOCK_KIB = 512
@@ -58,7 +53,7 @@ _popcount_block_kib: int | None = None
 
 def set_popcount_block_kib(kib: int | None) -> None:
     """Pin the pairwise-kernel block budget (KiB); ``None`` restores the
-    default / environment-variable resolution."""
+    default."""
     if kib is not None and int(kib) < 1:
         raise ValueError(f"block budget must be >= 1 KiB, got {kib}")
     global _popcount_block_kib
@@ -66,17 +61,9 @@ def set_popcount_block_kib(kib: int | None) -> None:
 
 
 def popcount_block_bytes() -> int:
-    """Resolved XOR-temporary budget: explicit pin > env var > default."""
+    """Resolved XOR-temporary budget: explicit pin, else the default."""
     if _popcount_block_kib is not None:
         return _popcount_block_kib << 10
-    env = os.environ.get(POPCOUNT_BLOCK_ENV_VAR)
-    if env:
-        try:
-            kib = int(env)
-        except ValueError:
-            kib = 0
-        if kib >= 1:
-            return kib << 10
     return _DEFAULT_POPCOUNT_BLOCK_KIB << 10
 
 
@@ -210,20 +197,27 @@ def _pairwise_popcount_xor(
     Both operands are cut into ``(rows, cols)`` blocks sized by
     :func:`_block_shape` so the XOR temporary and the per-element
     popcounts are reduced while still L2-resident; the scratch buffers
-    are allocated once per call and reused across blocks.  On numpy with
-    ``np.bitwise_count`` the popcount is a single vectorised ufunc into a
-    uint8 scratch; the byte-table lookup runs only as a fallback.
+    are allocated once per call and reused across blocks.  When one
+    block covers the whole product — a point query against the cluster
+    or model words — it is XOR-ed and reduced directly, without block
+    scratch.  On numpy with ``np.bitwise_count`` the popcount is a single
+    vectorised ufunc into a uint8 scratch; the byte-table lookup runs
+    only as a fallback.
     """
     n, words = a_words.shape
     m = b_words.shape[0]
-    out = np.empty((n, m), dtype=np.int64)
     if n == 0 or m == 0:
-        return out
+        return np.empty((n, m), dtype=np.int64)
     rows, cols = _block_shape(n, m, words, a_words.itemsize)
     registry = _metrics.active()
     if registry is not None:
         registry.gauge("reghd_popcount_block_rows").set(rows)
         registry.gauge("reghd_popcount_block_cols").set(cols)
+    if rows == n and cols == m:
+        return _popcount_sum(
+            np.bitwise_xor(a_words[:, np.newaxis, :], b_words[np.newaxis])
+        )
+    out = np.empty((n, m), dtype=np.int64)
     xor = np.empty((rows, cols, words), dtype=a_words.dtype)
     counts = np.empty((rows, cols, words), dtype=np.uint8)
     for i0 in range(0, n, rows):

@@ -110,7 +110,8 @@ CATALOG: dict[str, tuple[str, str]] = {
     ),
     "reghd_fused_block_cols": (
         "gauge",
-        "Column-block width used by the fused encode-pack pipeline.",
+        "Column-block width the fused encode-pack pipeline used for "
+        "its most recent tile.",
     ),
     "reghd_plan_rows_total": (
         "counter",

@@ -15,6 +15,7 @@ The backend-dispatch contract of the ISSUE-4 refactor:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -235,14 +236,32 @@ class TestFusedEncodePack:
     ):
         """Fused encode→pack emits the same sign words as encoding then
         packing, and scales matching mean(|S|)/norm to float rounding —
-        under every column-block size."""
+        under every pinned column-block size."""
+        from repro.runtime import set_fused_block_cols
+
+        set_fused_block_cols(block_cols)
+        try:
+            self._check_against_unfused(seed, n, features, dim)
+        finally:
+            set_fused_block_cols(None)
+
+    @pytest.mark.parametrize(
+        "n, width",
+        [(1, 4096), (8, 4096), (9, 3584), (31, 1024), (32, 1024), (40, 1024)],
+    )
+    def test_automatic_width_at_paper_dim(self, n, width):
+        """At D=4096 the automatic width is one block up to 8 rows,
+        narrows with the tile height above that and is 1024 columns from
+        31 rows on; every case matches the unfused pipeline."""
+        from repro.runtime import fused_block_cols
+
+        assert fused_block_cols(4096, n) == width
+        self._check_against_unfused(n, n, 6, 4096)
+
+    @staticmethod
+    def _check_against_unfused(seed, n, features, dim):
         from repro.encoding.nonlinear import NonlinearEncoder
-        from repro.runtime import (
-            EncoderOperands,
-            FusedScratch,
-            encode_pack_tile,
-            set_fused_block_cols,
-        )
+        from repro.runtime import EncoderOperands, FusedScratch, encode_pack_tile
 
         rng = np.random.default_rng(seed)
         enc = NonlinearEncoder(features, dim, seed + 1)
@@ -253,13 +272,7 @@ class TestFusedEncodePack:
             np.sin(enc.phases),
         )
         X = rng.normal(size=(n, features))
-        set_fused_block_cols(block_cols)
-        try:
-            words, scales = encode_pack_tile(
-                X, operands, FusedScratch(n, dim)
-            )
-        finally:
-            set_fused_block_cols(None)
+        words, scales = encode_pack_tile(X, operands, FusedScratch(n, dim))
         S = enc.encode_batch(X)
         np.testing.assert_array_equal(words, pack_sign_words(S))
         norms = np.maximum(np.linalg.norm(S, axis=1), 1e-12)

@@ -1,5 +1,9 @@
 """Tests for the compiled inference engine (repro.engine)."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,7 @@ from repro.exceptions import (
     NotFittedError,
 )
 from repro.reliability import ResilientStreamingRegHD
+from repro.runtime.base import BACKEND_ENV_VAR
 from repro.streaming import StreamingRegHD
 
 CONV = ConvergencePolicy(max_epochs=3, patience=2)
@@ -48,6 +53,13 @@ def _fitted(cq=ClusterQuant.FRAMEWORK, pq=PredictQuant.BINARY_BOTH, dim=128):
     return MultiModelRegHD(5, cfg).fit(X, y)
 
 
+@pytest.fixture
+def auto_backend(monkeypatch):
+    """Clear the process-wide backend default so ``compile()`` picks the
+    backend from the quantisation config, as these tests assert."""
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+
+
 class TestCompile:
     def test_unfitted_raises(self):
         model = MultiModelRegHD(5, RegHDConfig(dim=64, n_models=2))
@@ -67,12 +79,14 @@ class TestCompile:
         with pytest.raises(ConfigurationError):
             model.compile(n_workers=0)
 
+    @pytest.mark.usefixtures("auto_backend")
     def test_auto_packing_follows_quantisation(self):
         assert _fitted().compile().packed
         assert not _fitted(
             ClusterQuant.NONE, PredictQuant.FULL
         ).compile().packed
 
+    @pytest.mark.usefixtures("auto_backend")
     def test_operands_are_read_only(self):
         plan = _fitted().compile()
         for arr in (plan.cluster_words, plan.model_words, plan.model_scales):
@@ -89,6 +103,7 @@ class TestCompile:
         np.testing.assert_array_equal(plan.predict(X), before)
         assert not np.allclose(model.predict(X), before)
 
+    @pytest.mark.usefixtures("auto_backend")
     def test_repr_and_nbytes(self):
         plan = _fitted().compile()
         assert "packed-sims" in repr(plan) and "packed-dots" in repr(plan)
@@ -169,6 +184,60 @@ class TestTileScratch:
         # two float64 buffers + one bool buffer
         assert scratch.nbytes == 64 * 1000 * (8 + 8 + 1)
 
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_short_fused_tile_is_one_small_block(self, rows):
+        """Point queries and small batches at D=4096 encode in one
+        4096-column block, and their scratch stays under 1 MiB."""
+        scratch = TileScratch(rows, 4096, fused=True)
+        assert scratch.fused.block_cols == 4096
+        assert scratch.nbytes < 1 << 20
+
+    def test_tall_fused_tile_footprint_is_unchanged(self):
+        """Tall fused tiles keep 1024-column slabs: 1404 rows × (two
+        float64 and one bool slab of 1024 columns, 64 words, two
+        accumulators) — the footprint behind the serving peak RSS."""
+        rows = auto_tile_rows(4096, fused=True)
+        assert rows == 1404
+        scratch = TileScratch(rows, 4096, fused=True)
+        assert scratch.nbytes == 25_182_144
+
+
+class TestConcurrentCallers:
+    @pytest.mark.parametrize(
+        "options",
+        [{"backend": "packed_v2"}, {"packed": False}],
+        ids=["fused", "float"],
+    )
+    def test_interleaved_calls_match_solo_calls(self, options):
+        """Four threads interleave 1-, 8- and 300-row predicts on one plan
+        (the fused packed_v2 plan, then a float plan); every result equals
+        the same call made alone, so concurrent callers never share
+        scratch buffers."""
+        plan = _fitted(dim=4096).compile(**options)
+        assert plan.fused_encode is ("backend" in options)
+        rng = np.random.default_rng(11)
+        sizes = [1, 8] * 8 + [300, 300]
+        batches = [rng.normal(size=(n, 5)) for n in sizes]
+        solo = [plan.predict(X) for X in batches]
+        start = threading.Barrier(4, timeout=30)
+
+        def client(c: int) -> list[int]:
+            start.wait()
+            mismatched = []
+            for i in np.roll(np.arange(len(batches)), -5 * c):
+                if not np.array_equal(plan.predict(batches[i]), solo[i]):
+                    mismatched.append(int(i))
+            return mismatched
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                mismatched = list(pool.map(client, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatched == [[], [], [], []]
+
 
 class TestPlanRefresh:
     def test_refresh_tracks_further_training(self):
@@ -190,6 +259,7 @@ class TestPlanRefresh:
         assert stats["refreshes"] == 1
         assert stats["rows_refreshed"] == 0
 
+    @pytest.mark.usefixtures("auto_backend")
     def test_decay_only_update_repacks_no_model_words(self):
         """Pure magnitude decay keeps every sign, so no word re-packs."""
         model = _fitted()
