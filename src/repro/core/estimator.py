@@ -45,6 +45,7 @@ from repro.encoding.base import Encoder
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.ops.normalize import normalize_rows
 from repro.registry import encoder_class, encoder_type_of
+from repro.runtime.query import Query
 from repro.telemetry.spans import span
 from repro.types import ArrayLike, FloatArray
 from repro.utils.validation import check_1d, check_2d, check_matching_lengths
@@ -361,6 +362,15 @@ class BaseRegHDEstimator(BaseEstimator):
         """Encode raw rows and L2-normalise each hypervector."""
         return normalize_rows(self.encoder.encode_batch(X))
 
+    def _encode_query(self, X: FloatArray) -> Query:
+        """Encode + L2-normalise validated rows into one :class:`Query`.
+
+        The query caches every derivation that depends on its rows alone
+        (signs, packed words, scales, binarised rows), so one encoded
+        batch can serve a prediction and the update that follows it.
+        """
+        return Query(self._encode_normalized(X))
+
     # -- per-model hooks ---------------------------------------------------
 
     def _convergence_policy(self):
@@ -615,11 +625,18 @@ class BaseRegHDEstimator(BaseEstimator):
         self._fitted = True
         return self
 
-    def partial_fit(self, X: ArrayLike, y: ArrayLike):
+    def partial_fit(
+        self, X: ArrayLike, y: ArrayLike, *, encoded: Query | None = None
+    ):
         """One online pass over ``(X, y)`` without resetting the model.
 
         Target scaling is frozen after the first call (estimated from the
         first batch), making this suitable for streaming workloads.
+
+        ``encoded`` is an optional :class:`~repro.runtime.Query` over the
+        already encoded and row-normalised ``X`` (shape ``(len(X), D)``),
+        for example the one a prequential prediction was just computed
+        from; the pass then trains on it instead of encoding ``X`` again.
         """
         if not self.supports_partial_fit:
             raise ConfigurationError(
@@ -628,11 +645,20 @@ class BaseRegHDEstimator(BaseEstimator):
         X_arr = check_2d("X", X)
         y_arr = check_1d("y", y)
         check_matching_lengths("X", X_arr, "y", y_arr)
+        if encoded is None:
+            S = self._encode_normalized(X_arr)
+        else:
+            shape = None if encoded.S is None else encoded.S.shape
+            if shape != (len(X_arr), self.dim):
+                raise ConfigurationError(
+                    f"encoded query has shape {shape}, expected "
+                    f"{(len(X_arr), self.dim)} for this batch"
+                )
+            S = self._encoded_operand(encoded)
         self._record_targets(y_arr)
         self.scaler.freeze_once(y_arr)
         self._fitted = True
         y_train = self.scaler.transform(y_arr)
-        S = self._encode_normalized(X_arr)
         self.fit_epoch(S, y_train, np.arange(len(y_train)))
         self._after_partial_fit()
         return self
@@ -644,9 +670,22 @@ class BaseRegHDEstimator(BaseEstimator):
                 f"{type(self).__name__}.predict called before fit"
             )
         with span("encode"):
-            S = self._encode_normalized(check_2d("X", X))
+            query = self._encode_query(check_2d("X", X))
         with span("search"):
-            return self._finalize_predictions(self.predict_encoded(S))
+            return self._predict_query(query)
+
+    def _predict_query(self, query: Query) -> FloatArray:
+        """Predict targets (original units) for an encoded query: the
+        search half of :meth:`predict`."""
+        return self._finalize_predictions(
+            self.predict_encoded(self._encoded_operand(query))
+        )
+
+    def _encoded_operand(self, query: Query):
+        """What the trainer-protocol methods take for an encoded batch:
+        the plain matrix here; models whose kernels read the query's
+        cached derivations take the query itself."""
+        return query.S
 
     # -- trainer protocol (implemented by concrete models) -----------------
 

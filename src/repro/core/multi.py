@@ -155,13 +155,16 @@ class MultiModelRegHD(BaseRegHDEstimator):
 
     # -- similarity / confidence ------------------------------------------
 
-    def _query(self, S: FloatArray) -> Query:
+    def _query(self, S: FloatArray | Query) -> Query:
         """Wrap a batch for the runtime, reusing epoch-cached operands.
 
-        Identity check (``cache.S is S``): the trainer presents the same
-        encoded matrix every epoch, so its cached packed operands apply
-        exactly when the caller passes that matrix itself.
+        A :class:`Query` passes through as is.  For a matrix, identity
+        check (``cache.S is S``): the trainer presents the same encoded
+        matrix every epoch, so its cached packed operands apply exactly
+        when the caller passes that matrix itself.
         """
+        if isinstance(S, Query):
+            return S
         cache = self._train_cache
         registry = _metrics.active()
         if cache is not None and cache.S is S:
@@ -190,8 +193,11 @@ class MultiModelRegHD(BaseRegHDEstimator):
         """The Sec.-3.2 model operand: binary view when the scheme says so."""
         return self._model_op.matT.T
 
-    def predict_encoded(self, S: FloatArray) -> FloatArray:
-        """Eq. (6): confidence-weighted accumulation over all k models."""
+    def predict_encoded(self, S: FloatArray | Query) -> FloatArray:
+        """Eq. (6): confidence-weighted accumulation over all k models.
+
+        ``S`` is an encoded matrix or a :class:`Query` over one.
+        """
         query = self._query(S)
         sims = self._cluster_similarities(query)
         conf = self._confidences(sims)
@@ -251,23 +257,33 @@ class MultiModelRegHD(BaseRegHDEstimator):
         else:
             self._push_update("clusters_integer", delta, row_counts=counts)
 
-    def fit_epoch(self, S: FloatArray, y: FloatArray, order: np.ndarray) -> None:
-        """One pass of mini-batch updates over pre-encoded data."""
+    def fit_epoch(
+        self, S: FloatArray | Query, y: FloatArray, order: np.ndarray
+    ) -> None:
+        """One pass of mini-batch updates over pre-encoded data.
+
+        ``S`` may be a :class:`Query` (``partial_fit`` on a batch that was
+        already encoded for its prequential prediction): each mini-batch
+        query is then :meth:`Query.slice` of it, reusing what it has
+        derived, and counts as an ``encoded`` cache hit rather than a
+        ``query`` cache lookup.
+        """
         batch = self.config.batch_size
-        cache = self._train_cache
-        if cache is not None and cache.S is not S:
-            cache = None  # partial_fit on new data; cache belongs to fit()
+        if isinstance(S, Query):
+            cache, cache_name = S, "encoded"
+        else:
+            cache, cache_name = self._train_cache, "query"
+            if cache is not None and cache.S is not S:
+                cache = None  # partial_fit on new data; cache belongs to fit()
         registry = _metrics.active()
         for start in range(0, len(order), batch):
             idx = order[start : start + batch]
-            S_b = S[idx]
-            query = (
-                cache.slice(idx, S_b) if cache is not None else Query(S_b)
-            )
+            query = cache.slice(idx) if cache is not None else Query(S[idx])
+            S_b = query.S
             if registry is not None:
                 registry.counter(
                     "reghd_cache_events_total",
-                    cache="query",
+                    cache=cache_name,
                     event="hit" if cache is not None else "miss",
                 ).inc()
             sims = self._cluster_similarities(query)
@@ -312,6 +328,9 @@ class MultiModelRegHD(BaseRegHDEstimator):
 
     def _after_partial_fit(self) -> None:
         self.end_epoch()
+
+    def _encoded_operand(self, query: Query) -> Query:
+        return query
 
     # -- delta hooks ---------------------------------------------------------
 

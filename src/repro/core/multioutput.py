@@ -4,8 +4,11 @@ Many IoT problems predict several quantities at once (multi-horizon
 forecasts, multi-sensor calibration).  RegHD extends naturally: the
 expensive part — encoding — depends only on the input, so one encoder is
 shared and each output dimension gets its own cluster/model hypervector
-pair set.  Training cost is `encode once + outputs × (search + update)`,
-versus `outputs ×` everything for naive per-output models.
+pair set.  ``partial_fit`` and ``predict`` encode each batch once and
+hand every head the same :class:`~repro.runtime.Query`, so their cost is
+`encode once + outputs × (search + update)`, versus `outputs ×`
+everything for naive per-output models.  ``fit`` still lets each head
+encode its own copy of the training (and validation) rows.
 
 As a composite estimator this class extends
 :class:`~repro.core.estimator.BaseEstimator` directly: its state is the
@@ -28,6 +31,7 @@ from repro.encoding.base import Encoder
 from repro.encoding.nonlinear import NonlinearEncoder
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.registry import register_model
+from repro.telemetry.spans import span
 from repro.types import ArrayLike, FloatArray
 from repro.utils.rng import derive_generator
 from repro.utils.validation import check_2d, check_matching_lengths
@@ -151,11 +155,12 @@ class MultiOutputRegHD(BaseEstimator):
         return self
 
     def partial_fit(self, X: ArrayLike, Y: ArrayLike) -> "MultiOutputRegHD":
-        """One online pass for every head."""
+        """One online pass for every head over one shared encoding."""
         X_arr = check_2d("X", X)
         Y_arr = self._validate_targets(X_arr, Y)
+        query = self.heads[0]._encode_query(X_arr)
         for output, head in enumerate(self.heads):
-            head.partial_fit(X_arr, Y_arr[:, output])
+            head.partial_fit(X_arr, Y_arr[:, output], encoded=query)
         self._fitted = True
         return self
 
@@ -163,8 +168,12 @@ class MultiOutputRegHD(BaseEstimator):
         """Predict all outputs: shape ``(n, n_outputs)``."""
         if not self._fitted:
             raise NotFittedError("MultiOutputRegHD.predict called before fit")
-        X_arr = check_2d("X", X)
-        return np.column_stack([head.predict(X_arr) for head in self.heads])
+        with span("encode"):
+            query = self.heads[0]._encode_query(check_2d("X", X))
+        with span("search"):
+            return np.column_stack(
+                [head._predict_query(query) for head in self.heads]
+            )
 
     # -- state protocol -----------------------------------------------------
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.quantization import binarize_preserving_scale
 from repro.ops.quantize import bipolarize
 from repro.runtime.packing import pack_sign_words
 from repro.types import FloatArray
@@ -88,12 +87,45 @@ class Query:
 
     @property
     def binarized(self) -> FloatArray:
-        """Scale-preserving binarised queries, ``sign(S) * mean(|S|)``."""
+        """Scale-preserving binarised queries, ``sign(S) * mean(|S|)``.
+
+        Built from this query's own cached :attr:`signs` and
+        :attr:`scales`, so the sign pattern is derived once for both;
+        bit-equal to :func:`~repro.runtime.binarize_preserving_scale`
+        (zero-scale rows binarise to zero).
+        """
         if self._binarized is None:
-            self._binarized = binarize_preserving_scale(
-                self._require_S("binarized")
-            )
+            scales = self.scales
+            binarized = self.signs * scales[:, np.newaxis]
+            binarized[scales == 0.0] = 0.0
+            self._binarized = binarized
         return self._binarized
+
+    def slice(self, idx: np.ndarray) -> "Query":
+        """A :class:`Query` for the rows ``idx`` of this batch.
+
+        Every array this query already holds is carried over as the same
+        rows (each derivation depends on its row alone), so the batch
+        never re-derives what the whole query has computed.  A contiguous
+        ascending run of rows, such as a ``partial_fit`` mini-batch, is
+        taken as views instead of copies.
+        """
+        rows = idx
+        if len(idx) and np.array_equal(
+            idx, np.arange(idx[0], idx[0] + len(idx))
+        ):
+            rows = slice(idx[0], idx[0] + len(idx))
+
+        def pick(array: np.ndarray | None) -> np.ndarray | None:
+            return None if array is None else array[rows]
+
+        return Query(
+            pick(self.S),
+            signs=pick(self._signs),
+            words=pick(self._words),
+            scales=pick(self._scales),
+            binarized=pick(self._binarized),
+        )
 
 
 class QueryCache:
@@ -114,12 +146,7 @@ class QueryCache:
         """A :class:`Query` over the full cached training matrix."""
         return Query(self.S, words=self._words, scales=self._scales)
 
-    def slice(self, idx: np.ndarray, S_batch: FloatArray) -> Query:
-        """A :class:`Query` for the batch ``S[idx]`` with cached operands.
-
-        ``S_batch`` is the already-materialised row slice (the hot loop
-        needs it for the updates anyway), so the cache only contributes
-        the packed words and scales.
-        """
-        return Query(self.S[idx] if S_batch is None else S_batch,
-                     words=self._words[idx], scales=self._scales[idx])
+    def slice(self, idx: np.ndarray) -> Query:
+        """A :class:`Query` for the batch ``S[idx]`` with cached operands
+        (the rows of ``S`` plus their packed words and scales)."""
+        return self.query().slice(idx)

@@ -372,8 +372,11 @@ class StreamingRegHD:
     def update(self, X: ArrayLike, y: ArrayLike) -> StreamBatchReport:
         """Absorb one arriving batch (predict-then-train).
 
-        Returns the prequential report for this batch; the full history
-        accumulates on :attr:`history`.
+        The batch is encoded once: the one :class:`~repro.runtime.Query`
+        gives the prequential prediction and is then handed to
+        ``partial_fit``, so training reuses its encoding, signs, scales
+        and binarised rows.  Returns the prequential report for this
+        batch; the full history accumulates on :attr:`history`.
         """
         X_arr = check_2d("X", X)
         y_arr = check_1d("y", y)
@@ -382,10 +385,14 @@ class StreamingRegHD:
 
         prequential: float | None = None
         drift = False
+        query = None
         with _tracing.trace("stream/batch", batch=self._batch_counter):
             if self.fitted:
                 with span("predict"):
-                    predictions = self.model.predict(X_arr)
+                    with span("encode"):
+                        query = self.model._encode_query(X_arr)
+                    with span("search"):
+                        predictions = self.model._predict_query(query)
                 prequential = mean_squared_error(y_arr, predictions)
                 if self.conformal is not None:
                     # Same honest predict-then-train residuals feed the
@@ -407,7 +414,7 @@ class StreamingRegHD:
                     )
                     self.model.models.rebinarize()
             with span("train"):
-                self.model.partial_fit(X_arr, y_arr)
+                self.model.partial_fit(X_arr, y_arr, encoded=query)
         self._plan_stale = True  # model changed; next predict refreshes
 
         report = StreamBatchReport(

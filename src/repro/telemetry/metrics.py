@@ -79,7 +79,9 @@ CATALOG: dict[str, tuple[str, str]] = {
     ),
     "reghd_cache_events_total": (
         "counter",
-        "Operand-cache lookups, by cache name and hit/miss/build event.",
+        "Operand-cache lookups, by cache name and hit/miss/build event "
+        "(query: the training QueryCache; encoded: a partial_fit "
+        "mini-batch sliced from the query passed as encoded=).",
     ),
     "reghd_packed_words_rows_total": (
         "counter",

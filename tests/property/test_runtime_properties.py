@@ -11,14 +11,19 @@ The backend-dispatch contract of the ISSUE-4 refactor:
 * :class:`PackedWordsCache` incremental re-packing is indistinguishable
   from packing from scratch, and its counters account for every row;
 * :class:`Query` yields identical derivations whether operands are
-  precomputed (serving) or derived lazily (training).
+  precomputed (serving), derived lazily (training) or sliced from a
+  larger query, and derives its sign pattern once for ``signs`` and
+  ``binarized`` together.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ops.quantize import bipolarize
 from repro.runtime import PackedWordsCache, Query, pack_sign_words
 from repro.runtime.kernels import (
     hamming_similarities,
@@ -168,6 +173,69 @@ class TestQueryConsistency:
         np.testing.assert_array_equal(
             lazy.binarized, lazy.signs * lazy.scales[:, np.newaxis]
         )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=50),
+        n=st.integers(min_value=1, max_value=20),
+        dim=st.integers(min_value=1, max_value=100),
+        zero_frac=st.sampled_from([0.0, 0.2, 1.0]),
+        zero_rows=st.integers(min_value=0, max_value=3),
+        binarized_first=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_binarized_derives_from_cached_signs_and_scales(
+        self, seed, n, dim, zero_frac, zero_rows, binarized_first
+    ):
+        """``binarized`` is bit-equal to ``binarize_preserving_scale(S)``
+        (exact-zero entries and all-zero rows included) and shares the
+        query's one sign derivation."""
+        rng = np.random.default_rng(seed)
+        S = rng.normal(size=(n, dim))
+        S[rng.random(size=S.shape) < zero_frac] = 0.0
+        S[rng.permutation(n)[:zero_rows]] = 0.0
+        query = Query(S)
+        with mock.patch(
+            "repro.runtime.query.bipolarize", wraps=bipolarize
+        ) as spy:
+            if binarized_first:
+                binarized, signs = query.binarized, query.signs
+            else:
+                signs, binarized = query.signs, query.binarized
+        assert spy.call_count == 1
+        expected = binarize_preserving_scale(S)
+        np.testing.assert_array_equal(
+            binarized.view(np.uint64), expected.view(np.uint64)
+        )
+        np.testing.assert_array_equal(signs, bipolarize(S))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=50),
+        n=st.integers(min_value=1, max_value=20),
+        dim=st.integers(min_value=1, max_value=100),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_slice_carries_row_slices_of_derivations(self, seed, n, dim):
+        rng = np.random.default_rng(seed)
+        S = rng.normal(size=(n, dim))
+        whole = Query(S)
+        _ = whole.binarized, whole.words  # derive every array before slicing
+        start = int(rng.integers(0, n))
+        run = np.arange(start, n)
+        for idx in (rng.permutation(n)[: max(1, n // 2)], run):
+            sliced = whole.slice(idx)
+            fresh = Query(S[idx])
+            np.testing.assert_array_equal(sliced.S, S[idx])
+            np.testing.assert_array_equal(sliced.signs, fresh.signs)
+            np.testing.assert_array_equal(sliced.words, fresh.words)
+            np.testing.assert_array_equal(sliced.scales, fresh.scales)
+            np.testing.assert_array_equal(sliced.binarized, fresh.binarized)
+        # a contiguous ascending run is taken as views, not copies
+        sliced = whole.slice(run)
+        for name in ("S", "signs", "words", "scales", "binarized"):
+            assert np.shares_memory(
+                getattr(sliced, name), getattr(whole, name)
+            ), name
+
 
 class TestCacheBlockedPopcount:
     @given(

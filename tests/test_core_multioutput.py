@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import RegHDConfig
-from repro.core import ConvergencePolicy
+from repro.core import ClusterQuant, ConvergencePolicy, PredictQuant
 from repro.core.multioutput import MultiOutputRegHD
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.metrics import r2_score
@@ -106,3 +106,62 @@ class TestMultiOutput:
 
     def test_repr(self):
         assert "MultiOutputRegHD" in repr(MultiOutputRegHD(5, 2, CONFIG))
+
+
+class TestSharedEncoding:
+    """partial_fit and predict encode each batch once for every head."""
+
+    @pytest.mark.parametrize(
+        "predict_quant",
+        [
+            PredictQuant.FULL,
+            PredictQuant.BINARY_QUERY,
+            PredictQuant.BINARY_BOTH,
+        ],
+        ids=lambda q: q.value,
+    )
+    def test_matches_independent_heads(self, task, monkeypatch, predict_quant):
+        from repro.core.multi import MultiModelRegHD
+        from repro.encoding.nonlinear import NonlinearEncoder
+
+        X, Y, Xte, _ = task
+        config = CONFIG.with_overrides(
+            cluster_quant=ClusterQuant.FRAMEWORK, predict_quant=predict_quant
+        )
+        model = MultiOutputRegHD(5, 3, config)
+        # The per-head reference: each head encodes its own copy of X.
+        heads = [
+            MultiModelRegHD(
+                5,
+                config.with_overrides(seed=config.seed + output),
+                encoder=model.encoder,
+            )
+            for output in range(3)
+        ]
+        calls = []
+        encode_batch = NonlinearEncoder.encode_batch
+
+        def counting(self, X):
+            calls.append(len(X))
+            return encode_batch(self, X)
+
+        monkeypatch.setattr(NonlinearEncoder, "encode_batch", counting)
+        # 40-row batches span two mini-batches, 16-row batches one.
+        for start, stop in ((0, 40), (40, 56), (56, 96), (96, 112)):
+            before = len(calls)
+            model.partial_fit(X[start:stop], Y[start:stop])
+            assert len(calls) == before + 1
+            for output, head in enumerate(heads):
+                head.partial_fit(X[start:stop], Y[start:stop, output])
+        for mine, ref in zip(model.heads, heads):
+            for name in ("clusters", "models"):
+                dual, ref_dual = getattr(mine, name), getattr(ref, name)
+                np.testing.assert_array_equal(dual.integer, ref_dual.integer)
+                np.testing.assert_array_equal(dual.binary, ref_dual.binary)
+            assert mine.scaler.get_state() == ref.scaler.get_state()
+        before = len(calls)
+        predictions = model.predict(Xte)
+        assert len(calls) == before + 1
+        np.testing.assert_array_equal(
+            predictions, np.column_stack([head.predict(Xte) for head in heads])
+        )

@@ -116,6 +116,32 @@ class TestBaseEstimatorProtocol:
         model.fit(X, np.zeros(24) - 5.0)
         assert model.scaler.mean == -5.0
 
+    @pytest.mark.parametrize("cls", [SingleModelRegHD, MultiModelRegHD])
+    def test_partial_fit_on_encoded_query_matches_plain(self, cls):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(64, 4))
+        y = X[:, 0] - X[:, 1]
+        plain, shared = (cls(4, dim=64, seed=0) for _ in range(2))
+        # two 32-row mini-batches, then one
+        for rows in (slice(0, 40), slice(40, 64)):
+            plain.partial_fit(X[rows], y[rows])
+            shared.partial_fit(
+                X[rows], y[rows], encoded=shared._encode_query(X[rows])
+            )
+        for name, values in plain._model_arrays().items():
+            np.testing.assert_array_equal(shared._model_arrays()[name], values)
+        np.testing.assert_array_equal(shared.predict(X), plain.predict(X))
+
+    @pytest.mark.parametrize("rows,dim", [(15, 64), (16, 32)])
+    def test_partial_fit_rejects_misshaped_encoded_query(self, rows, dim):
+        from repro.runtime import Query
+
+        model = SingleModelRegHD(4, dim=64, seed=0)
+        encoded = Query(np.ones((rows, dim)))
+        with pytest.raises(ConfigurationError, match="encoded query"):
+            model.partial_fit(np.zeros((16, 4)), np.zeros(16), encoded=encoded)
+        assert not model.fitted
+
     def test_unsupported_partial_fit_raises(self):
         from repro.core import BaselineHD
 

@@ -1,11 +1,20 @@
 """Tests for streaming RegHD and the Page-Hinkley detector."""
 
+import itertools
+
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from repro import RegHDConfig
+from repro.core.quantization import ClusterQuant, PredictQuant
+from repro.encoding.nonlinear import NonlinearEncoder
 from repro.exceptions import ConfigurationError
-from repro.streaming import PageHinkley, StreamingRegHD
+from repro.metrics import mean_squared_error
+from repro.reliability.resilient import ResilientStreamingRegHD
+from repro.reliability.watchdog import Watchdog
+from repro.robust.conformal import AdaptiveConformal
+from repro.streaming import PageHinkley, StreamBatchReport, StreamingRegHD
 
 
 class TestPageHinkley:
@@ -245,3 +254,179 @@ class TestStreamHistoryBounds:
             StreamHistory(max_reports=0)
         with pytest.raises(ConfigurationError):
             StreamingRegHD(4, CONFIG, max_history=-1)
+
+
+class _ReferenceStream(StreamingRegHD):
+    """The stream update rebuilt from public calls, encoding twice:
+    ``model.predict``, then the same forgetting or drift step, then
+    ``model.partial_fit``."""
+
+    def update(self, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        self._batch_counter += 1
+        model = self.model
+        prequential = None
+        drift = False
+        if model.fitted:
+            predictions = model.predict(X)
+            prequential = mean_squared_error(y, predictions)
+            if self.conformal is not None:
+                self.conformal.observe(y, predictions)
+            if self.detector is not None:
+                drift = self.detector.update(float(np.sqrt(prequential)))
+            if drift or self.forgetting < 1.0:
+                factor = self.drift_shrink if drift else self.forgetting
+                model.models.update_all((factor - 1.0) * model.models.integer)
+                model.models.rebinarize()
+        model.partial_fit(X, y)
+        self.invalidate_plan()
+        report = StreamBatchReport(
+            batch=self._batch_counter,
+            prequential_mse=prequential,
+            drift_detected=drift,
+        )
+        self.history.reports.append(report)
+        return report
+
+
+class _ReferenceResilient(ResilientStreamingRegHD, _ReferenceStream):
+    """The resilient pipeline around :class:`_ReferenceStream`'s update."""
+
+
+def _concept_flip_batches(n_batches: int, rows: int = 32, seed: int = 7):
+    """Batches whose target map flips halfway (drift fires)."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_batches):
+        X = rng.normal(size=(rows, 4))
+        y = np.sin(2 * X[:, 0]) + X[:, 1]
+        yield X, (3.0 - 2.0 * y if i >= n_batches // 2 else y)
+
+
+def _assert_streams_identical(stream, twin, X_eval):
+    assert_array_equal(stream.history.mse_curve(), twin.history.mse_curve())
+    assert stream.history.drift_events == twin.history.drift_events
+    window = stream.conformal.get_state()
+    twin_window = twin.conformal.get_state()
+    assert_array_equal(window.pop("residuals"), twin_window.pop("residuals"))
+    assert window == twin_window
+    for name in ("clusters", "models"):
+        dual = getattr(stream.model, name)
+        twin_dual = getattr(twin.model, name)
+        assert_array_equal(dual.integer, twin_dual.integer)
+        assert_array_equal(dual.binary, twin_dual.binary)
+        assert_array_equal(dual.sign_versions, twin_dual.sign_versions)
+    assert_array_equal(stream.predict(X_eval), twin.predict(X_eval))
+    assert_array_equal(
+        stream.model.predict(X_eval), twin.model.predict(X_eval)
+    )
+
+
+class TestSharedEncodingDifferential:
+    """One encode per update must learn exactly what predict-then-
+    partial_fit (two encodes) learns, in every configuration."""
+
+    @pytest.mark.parametrize("batch_size", [8, 32, 64])
+    @pytest.mark.parametrize(
+        "cluster_quant,predict_quant",
+        list(itertools.product(ClusterQuant, PredictQuant)),
+        ids=lambda q: q.value,
+    )
+    def test_matches_predict_then_partial_fit(
+        self, cluster_quant, predict_quant, batch_size
+    ):
+        config = RegHDConfig(
+            dim=256,
+            n_models=4,
+            seed=1,
+            batch_size=batch_size,
+            cluster_quant=cluster_quant,
+            predict_quant=predict_quant,
+        )
+
+        def build(cls):
+            return cls(
+                4,
+                config,
+                forgetting=0.99,
+                detector=PageHinkley(threshold=0.5),
+                conformal=AdaptiveConformal(window=64),
+            )
+
+        stream, twin = build(StreamingRegHD), build(_ReferenceStream)
+        for X, y in _concept_flip_batches(24):
+            stream.update(X, y)
+            twin.update(X, y)
+        assert stream.history.drift_events  # the drift shrink ran
+        X_eval = np.random.default_rng(99).normal(size=(40, 4))
+        _assert_streams_identical(stream, twin, X_eval)
+
+    def test_resilient_guard_drops_rows_and_watchdog_rolls_back(
+        self, tmp_path
+    ):
+        def build(cls, name):
+            return cls(
+                4,
+                RegHDConfig(dim=256, n_models=4, seed=2),
+                guard="mahalanobis",
+                checkpoint_dir=tmp_path / name,
+                checkpoint_every=2,
+                # any error above the warm-up baseline fails
+                watchdog=Watchdog(
+                    baseline_batches=8,
+                    window=1,
+                    warn_factor=1.0,
+                    fail_factor=1.0,
+                ),
+                forgetting=0.997,
+                detector=PageHinkley(),
+                conformal=AdaptiveConformal(window=64),
+            )
+
+        stream = build(ResilientStreamingRegHD, "stream")
+        twin = build(_ReferenceResilient, "twin")
+        for i, (X, y) in enumerate(_concept_flip_batches(24, seed=3)):
+            if i >= 3 and i % 4 == 0:
+                X = X.copy()
+                X[:3] += 40.0  # leverage outliers the gate drops
+            stream.update(X, y)
+            twin.update(X, y)
+        assert stream.guard.gate.n_gated > 0
+        assert stream.rollbacks
+        assert [r.checkpoint_id for r in stream.rollbacks] == [
+            r.checkpoint_id for r in twin.rollbacks
+        ]
+        assert stream.guard.gate.n_gated == twin.guard.gate.n_gated
+        X_eval = np.random.default_rng(98).normal(size=(40, 4))
+        _assert_streams_identical(stream, twin, X_eval)
+
+
+class TestOneEncodePerUpdate:
+    @pytest.mark.parametrize(
+        "resilient", [False, True], ids=["plain", "resilient"]
+    )
+    def test_each_update_encodes_once(self, monkeypatch, resilient, tmp_path):
+        calls = []
+        encode_batch = NonlinearEncoder.encode_batch
+
+        def counting(self, X):
+            calls.append(len(X))
+            return encode_batch(self, X)
+
+        monkeypatch.setattr(NonlinearEncoder, "encode_batch", counting)
+        if resilient:
+            stream = ResilientStreamingRegHD(
+                4,
+                CONFIG,
+                guard="mahalanobis",
+                checkpoint_dir=tmp_path,
+                checkpoint_every=1,
+                watchdog=Watchdog(),
+            )
+        else:
+            stream = StreamingRegHD(4, CONFIG, detector=PageHinkley())
+        for i, (X, y) in enumerate(_concept_flip_batches(6)):
+            before = len(calls)
+            report = stream.update(X, y)
+            assert (report.prequential_mse is None) == (i == 0)
+            assert len(calls) == before + 1, f"batch {i}"

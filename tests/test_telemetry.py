@@ -26,6 +26,7 @@ from repro.core.config import RegHDConfig
 from repro.core.multi import MultiModelRegHD
 from repro.core.quantization import ClusterQuant, PredictQuant
 from repro.exceptions import ConfigurationError
+from repro.streaming import StreamingRegHD
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import _NULL_SPAN
@@ -544,6 +545,34 @@ class TestTrainingAndCacheMetrics:
         ).value
         assert builds >= 1  # begin_training built the epoch cache
         assert hits >= 1  # every batch after that served from it
+
+    @pytest.mark.parametrize("backend", ["dense", "packed"])
+    def test_stream_reuse_counts_under_encoded(
+        self, tiny_regression, backend
+    ):
+        """A stream update trains on its prequential query: that reuse is
+        counted as ``cache="encoded"``, never as a ``QueryCache`` hit."""
+        X_train, y_train, _, _ = tiny_regression
+        reg = telemetry.enable()
+        stream = StreamingRegHD(
+            X_train.shape[1],
+            RegHDConfig(dim=128, n_models=2, seed=0, batch_size=8,
+                        backend=backend),
+        )
+        for rows in (slice(0, 16), slice(16, 32), slice(32, 52)):
+            stream.update(X_train[rows], y_train[rows])
+
+        def count(cache, event):
+            return reg.counter(
+                "reghd_cache_events_total", cache=cache, event=event
+            ).value
+
+        # first batch: no prequential query, no cache -> two query misses
+        assert count("query", "miss") == 2
+        assert count("query", "hit") == 0
+        # later batches: 2 + 3 mini-batches sliced from the shared query
+        assert count("encoded", "hit") == 5
+        assert count("encoded", "miss") == 0
 
 
 class TestServingMetrics:

@@ -9,6 +9,8 @@ Covers the tracing acceptance criteria:
   joins it instead of minting a second id;
 * latency histograms record the slowest observation's trace id per
   bucket (exemplars) while a trace is open;
+* a fitted stream update records one ``encode`` span, under
+  ``predict`` and beside ``search``, with ``train`` after them;
 * the Chrome trace-event export matches a checked-in golden file under
   a pinned monotonic clock.
 """
@@ -242,6 +244,32 @@ class TestBitIdenticalPredictions:
         stages = {r.name for r in tracer.records}
         assert "tile/encode" in stages
         assert "tile/search" in stages
+
+
+class TestStreamSpanTree:
+    def test_fitted_update_encodes_once_under_predict(self):
+        rng = np.random.default_rng(0)
+        stream = StreamingRegHD(4, RegHDConfig(dim=128, n_models=4, seed=0))
+        stream.update(rng.normal(size=(16, 4)), rng.normal(size=16))
+        tracer = telemetry.enable_tracing()
+        stream.update(rng.normal(size=(16, 4)), rng.normal(size=16))
+        records = tracer.records
+        (root,) = [r for r in records if r.parent_id is None]
+        assert root.name == "stream/batch"
+        assert {r.trace_id for r in records} == {root.trace_id}
+        by_name = {r.name: r for r in records}
+        (encode,) = [r for r in records if r.name == "encode"]
+        predict, search, train = (
+            by_name["predict"],
+            by_name["search"],
+            by_name["train"],
+        )
+        assert predict.parent_id == root.span_id
+        assert encode.parent_id == predict.span_id
+        assert search.parent_id == predict.span_id
+        assert search.start >= encode.end
+        assert train.parent_id == root.span_id
+        assert train.start >= predict.end
 
 
 def _golden_trace_tracer(clock) -> tracing_mod.Tracer:
