@@ -1,12 +1,12 @@
-"""End-to-end inference engine throughput — float vs packed vs threaded.
+"""End-to-end inference engine throughput — float vs the compiled plan.
 
 Runs the same sweep the CLI ``bench`` subcommand runs
 (:func:`repro.engine.run_inference_benchmark`): a fitted quantised
-``MultiModelRegHD`` served three ways — the model's own float path, the
-compiled packed plan single-threaded, and the packed plan fanned over a
-thread pool — across D ∈ {1k, 4k, 10k}.  Asserts the ISSUE-2 acceptance
-shape: at D ≥ 4096 the packed plan must not lose to the float path for
-the quantised configuration, and every variant must agree numerically.
+``MultiModelRegHD`` served two ways — the model's own float path and the
+compiled ``packed_v2`` plan — across D ∈ {1k, 4k, 10k}.  Asserts the
+acceptance shape: at D ≥ 4096 the packed plan must not lose to the
+float path for the quantised configuration, and the served paths must
+agree numerically.
 
 Writes ``benchmarks/results/engine_throughput.txt``; the canonical JSON
 record at the repo root (``BENCH_inference.json``) is produced by
@@ -27,7 +27,7 @@ from repro.evaluation import render_table
 @pytest.fixture(scope="module")
 def record():
     return run_inference_benchmark(
-        dims=DEFAULT_DIMS, batch_rows=1024, repeats=5, n_workers=4
+        dims=DEFAULT_DIMS, batch_rows=1024, repeats=5
     )
 
 
@@ -51,21 +51,15 @@ def test_engine_throughput_sweep(record):
     lines = [table, ""]
     for dim, ratios in record["speedups"].items():
         lines.append(
-            f"D={dim:>6}: packed {ratios['packed_vs_float']:.2f}x, "
-            f"packed_v2 {ratios['packed_v2_vs_float']:.2f}x, "
-            f"packed+threads {ratios['packed_mt_vs_float']:.2f}x vs float"
+            f"D={dim:>6}: packed_v2 {ratios['packed_v2_vs_float']:.2f}x "
+            "vs float"
         )
     save_result("engine_throughput", "\n".join(lines))
     print("\n" + "\n".join(lines))
 
-    # Acceptance shape: packed wins for the quantised config at D >= 4096,
-    # and the second-generation backend supersedes it.
+    # Acceptance shape: packed wins for the quantised config at D >= 4096.
     for dim, ratios in record["speedups"].items():
         if int(dim) >= 4096:
-            assert ratios["packed_vs_float"] > 1.0, (
-                f"packed slower than float at D={dim}: "
-                f"{ratios['packed_vs_float']:.2f}x"
-            )
             assert ratios["packed_v2_vs_float"] > 1.0, (
                 f"packed_v2 slower than float at D={dim}: "
                 f"{ratios['packed_v2_vs_float']:.2f}x"
@@ -73,12 +67,12 @@ def test_engine_throughput_sweep(record):
 
 
 def test_variants_agree_numerically():
-    """The three served paths are the same function, not three models."""
+    """The served paths are the same function, not different models."""
     model = _fitted_model(dim=1000, features=16, seed=0)
     X = np.random.default_rng(1).normal(size=(257, 16))
     ref = model.predict(X)
-    packed = model.compile()
-    unpacked = model.compile(packed=False)
+    packed = model.compile(backend="packed_v2")
+    unpacked = model.compile(backend="dense")
     np.testing.assert_allclose(
         packed.predict(X, n_workers=1), ref, rtol=1e-9, atol=1e-10
     )
@@ -89,9 +83,5 @@ def test_variants_agree_numerically():
         atol=1e-10,
     )
     np.testing.assert_allclose(unpacked.predict(X), ref, rtol=1e-9, atol=1e-10)
-    v2 = model.compile(backend="packed_v2")
-    np.testing.assert_allclose(
-        v2.predict(X, n_workers=1), ref, rtol=1e-9, atol=1e-10
-    )
-    v2_remat = model.compile(backend="packed_v2", rematerialize=True)
-    np.testing.assert_array_equal(v2_remat.predict(X), v2.predict(X))
+    remat = model.compile(backend="packed_v2", rematerialize=True)
+    np.testing.assert_array_equal(remat.predict(X), packed.predict(X))

@@ -16,7 +16,7 @@ import pytest
 from _common import save_result
 from repro.evaluation import render_table
 from repro.ops.generate import random_bipolar
-from repro.ops.packing import pack_bits, packed_hamming_similarity
+from repro.runtime.packing import pack_bits, packed_hamming_similarity
 from repro.ops.quantize import bipolar_to_binary
 
 D = 4000

@@ -25,10 +25,9 @@ import numpy as np
 import pytest
 
 from _common import save_result
-from repro.encoding.nonlinear import NonlinearEncoder
+from repro.encoding.nonlinear import NonlinearEncoder, encode_into
 from repro.engine.kernels import (
     TileScratch,
-    encode_tile,
     packed_query_words,
     query_scales,
     row_norms,
@@ -127,9 +126,9 @@ def fused_rows():
         plain_scratch = TileScratch(tile, dim)
 
         def unfused():
-            S = encode_tile(
+            S = encode_into(
                 X, operands.bases, operands.phases, operands.scale,
-                plain_scratch,
+                plain_scratch.main, plain_scratch.aux,
             )
             norms = row_norms(S)
             query_scales(S, norms, plain_scratch)

@@ -59,7 +59,7 @@ def _serving_setup():
             dim=DIM,
             n_models=8,
             seed=0,
-            backend="packed",
+            backend="packed_v2",
             cluster_quant=ClusterQuant.FRAMEWORK,
             predict_quant=PredictQuant.BINARY_BOTH,
         ),

@@ -59,6 +59,7 @@ from repro.engine import compare_inference_records, run_inference_benchmark
 from repro.evaluation import render_table, run_on_split
 from repro.metrics import mean_squared_error, r2_score
 from repro.noise.injection import outlier_burst
+from repro.registry import BACKEND_REGISTRY
 from repro.reliability import GuardPolicy, ResilientStreamingRegHD, Watchdog, retry_call
 from repro.robust import AdaptiveConformal
 from repro.streaming import PageHinkley
@@ -328,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     predict.add_argument(
         "--backend",
-        choices=["dense", "packed", "packed_v2"],
+        choices=sorted(BACKEND_REGISTRY),
         default=None,
         help="execution-runtime backend for the compiled serving path "
         "(default: auto from the model's quantisation config)",
@@ -460,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="inference-engine throughput/latency benchmark "
-        "(float vs packed vs packed-multithreaded)",
+        "(float vs a compiled plan)",
     )
     bench.add_argument(
         "--dims",
@@ -476,19 +477,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--features", type=int, default=16, help="raw input features"
     )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="thread count for the multi-threaded variant",
-    )
     bench.add_argument("--seed", type=int, default=0, help="master seed")
     bench.add_argument(
         "--backend",
-        choices=["dense", "packed", "packed_v2"],
-        default="packed",
-        help="execution-runtime backend for the `packed` variant "
-        "(packed_v2/packed_mt cells always run the v2 backend)",
+        choices=sorted(BACKEND_REGISTRY),
+        default="packed_v2",
+        help="execution-runtime backend of the compiled cell",
     )
     bench.add_argument(
         "--quick",
@@ -1089,7 +1083,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         batch_rows=args.rows,
         repeats=args.repeats,
         features=args.features,
-        n_workers=args.workers,
         seed=args.seed,
         quick=args.quick,
         backend=args.backend,
@@ -1113,13 +1106,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{record['params']['repeats']} repeats)",
         )
     )
-    for dim, ratios in record["speedups"].items():
-        print(
-            f"D={dim:>6}: packed {ratios['packed_vs_float']:.2f}x, "
-            f"packed_v2 {ratios['packed_v2_vs_float']:.2f}x, "
-            f"packed+threads {ratios['packed_mt_vs_float']:.2f}x vs float"
-        )
     runtime = record["runtime"]
+    for dim, ratios in record["speedups"].items():
+        speedup = ratios[f"{runtime['backend']}_vs_float"]
+        print(f"D={dim:>6}: {runtime['backend']} {speedup:.2f}x vs float")
     print(f"runtime backend: {runtime['backend']} (runtime v{runtime['version']})")
     out_path = pathlib.Path(args.output)
     out_path.write_text(json.dumps(record, indent=2) + "\n")

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.quantization import ClusterQuant, PredictQuant
 from repro.exceptions import ConfigurationError
+from repro.registry import backend_class
 
 #: spawn-key namespace for per-shard seed derivation, disjoint from the
 #: small per-purpose keys models pass to ``derive_generator`` (0 encoder
@@ -121,7 +122,7 @@ class RegHDConfig:
         Master seed; encoder bases, cluster initialisation and epoch
         shuffling derive independent streams from it.
     backend:
-        Execution-runtime kernel backend name (``"dense"``/``"packed"``,
+        Execution-runtime kernel backend name (``"dense"``/``"packed_v2"``,
         see :func:`repro.runtime.resolve_backend`).  ``None`` defers to
         the ``REPRO_BACKEND`` environment variable and then the dense
         default; a pinned name wins over the environment, so configs stay
@@ -185,11 +186,18 @@ class RegHDConfig:
                 f"predict_quant must be a PredictQuant, got "
                 f"{self.predict_quant!r}"
             )
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"backend must be a registry name or None, got "
-                f"{self.backend!r}"
-            )
+        if self.backend is not None:
+            if not isinstance(self.backend, str):
+                raise ConfigurationError(
+                    f"backend must be a registry name or None, got "
+                    f"{self.backend!r}"
+                )
+            try:
+                backend_class(self.backend)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"{exc} (from RegHDConfig.backend)"
+                ) from None
         if self.telemetry is not None and not isinstance(
             self.telemetry, bool
         ):

@@ -31,6 +31,32 @@ from repro.types import FloatArray, SeedLike
 from repro.utils.rng import derive_generator
 
 
+def encode_into(
+    X: FloatArray,
+    bases: FloatArray,
+    phases: FloatArray,
+    scale: float,
+    out: FloatArray,
+    tmp: FloatArray,
+) -> FloatArray:
+    """Eq. (1) of the rows ``X`` written into ``out``; returns ``out``.
+
+    Computes ``cos(X @ B * scale + b) * sin(X @ B * scale)`` in place:
+    ``out`` and ``tmp`` are ``(len(X), dim)`` float64 buffers, ``tmp``
+    holding the cosine term.  This is the one float implementation of
+    the encoder — :class:`NonlinearEncoder` calls it with fresh buffers,
+    the compiled engine's unfused tile with its scratch — so both encode
+    every row bit for bit alike.
+    """
+    np.dot(X, bases, out=out)
+    np.multiply(out, scale, out=out)
+    np.add(out, phases, out=tmp)
+    np.cos(tmp, out=tmp)
+    np.sin(out, out=out)
+    np.multiply(out, tmp, out=out)
+    return out
+
+
 @register_encoder("nonlinear")
 class NonlinearEncoder(Encoder):
     """Nonlinear trigonometric encoder implementing paper Eq. (1).
@@ -119,8 +145,10 @@ class NonlinearEncoder(Encoder):
         return self._scale
 
     def _encode_batch(self, X: FloatArray) -> FloatArray:
-        projected = (X @ self._bases) * self._scale
-        return np.cos(projected + self._phases) * np.sin(projected)
+        out = np.empty((len(X), self.dim))
+        return encode_into(
+            X, self._bases, self._phases, self._scale, out, np.empty_like(out)
+        )
 
     def get_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """State-protocol snapshot: hyper-parameters plus frozen arrays."""

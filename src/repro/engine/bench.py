@@ -1,25 +1,21 @@
-"""Inference throughput/latency harness: float vs packed vs v2 vs threaded.
+"""Inference throughput/latency harness: float vs one compiled plan.
 
 Shared by the CLI ``bench`` subcommand and
 ``benchmarks/test_engine_throughput.py``.  For each hypervector
-dimensionality it times four serving paths on the same fitted, quantised
+dimensionality it times two serving paths on the same fitted, quantised
 model (``cluster_quant=framework``, ``predict_quant=binary_both`` — the
 configuration where every heavy stage binarises):
 
-* ``float`` — the legacy :meth:`MultiModelRegHD.predict` path (float
+* ``float`` — the uncompiled :meth:`MultiModelRegHD.predict` path (float
   sign matmuls);
-* ``packed`` — a compiled plan on the requested backend (default: the
-  first-generation XOR + popcount backend), single-threaded;
-* ``packed_v2`` — a compiled plan pinned to the second-generation
-  backend (fused encode→pack, cache-blocked popcount), single-threaded;
-* ``packed_mt`` — the ``packed_v2`` plan fanned over the persistent
-  thread pool (sequential fallback below the measured work cutoff, so
-  it is never slower than ``packed_v2``).
+* a compiled plan on the requested backend, single-threaded, in a cell
+  named after that backend (default ``packed_v2``: fused encode→pack
+  and cache-blocked popcount).
 
 The emitted dict is what ``BENCH_inference.json`` stores at the repo
 root: rows/sec plus p50/p99 per-batch latency for every (dim, variant)
-cell, and per-dim speedup ratios of the packed paths over the float
-path — the regression baseline ``repro bench --compare`` checks against.
+cell, and the per-dim speedup of the compiled plan over the float path
+— the regression baseline ``repro bench --compare`` checks against.
 """
 
 from __future__ import annotations
@@ -84,19 +80,17 @@ def run_inference_benchmark(
     batch_rows: int = 2048,
     repeats: int = 10,
     features: int = 16,
-    n_workers: int = 4,
     seed: int = 0,
     quick: bool = False,
-    backend: str = "packed",
+    backend: str = "packed_v2",
 ) -> dict:
-    """Measure the three serving paths across ``dims``.
+    """Measure the float path and the compiled plan across ``dims``.
 
     ``quick=True`` shrinks the sweep (drops D = 10k, smaller batches,
     fewer repeats) to a CI-friendly smoke run that still yields the
-    packed-vs-float comparison at D = 4096.  ``backend`` selects the
-    execution-runtime backend for the ``packed`` cell; the ``packed_v2``
-    and ``packed_mt`` cells always run the second-generation backend and
-    the ``float`` cell always runs the uncompiled model path.
+    compiled-vs-float comparison at D = 4096.  ``backend`` selects the
+    execution-runtime backend of the compiled cell; the ``float`` cell
+    always runs the uncompiled model path.
     """
     if quick:
         dims = tuple(d for d in dims if d <= 4096) or dims[:1]
@@ -104,35 +98,23 @@ def run_inference_benchmark(
         repeats = min(repeats, 3)
 
     runtime = resolve_backend(backend)
+    compiled = runtime.name
     rng = np.random.default_rng(seed + 1)
     results: list[dict] = []
     speedups: dict[str, dict[str, float]] = {}
     for dim in dims:
         model = _fitted_model(dim, features, seed)
-        plan = model.compile(backend=runtime, n_workers=1)
-        plan_v2 = model.compile(backend="packed_v2", n_workers=1)
+        plan = model.compile(backend=runtime)
         X = rng.normal(size=(batch_rows, features))
 
         cells = {
             "float": _time_predictor(model.predict, X, repeats),
-            "packed": _time_predictor(plan.predict, X, repeats),
-            "packed_v2": _time_predictor(plan_v2.predict, X, repeats),
-            "packed_mt": _time_predictor(
-                lambda batch: plan_v2.predict(batch, n_workers=n_workers),
-                X,
-                repeats,
-            ),
+            compiled: _time_predictor(plan.predict, X, repeats),
         }
         for variant, stats in cells.items():
             results.append({"dim": int(dim), "variant": variant, **stats})
         speedups[str(dim)] = {
-            "packed_vs_float": cells["packed"]["rows_per_s"]
-            / cells["float"]["rows_per_s"],
-            "packed_v2_vs_float": cells["packed_v2"]["rows_per_s"]
-            / cells["float"]["rows_per_s"],
-            "packed_v2_vs_packed": cells["packed_v2"]["rows_per_s"]
-            / cells["packed"]["rows_per_s"],
-            "packed_mt_vs_float": cells["packed_mt"]["rows_per_s"]
+            f"{compiled}_vs_float": cells[compiled]["rows_per_s"]
             / cells["float"]["rows_per_s"],
         }
 
@@ -146,7 +128,6 @@ def run_inference_benchmark(
             "batch_rows": int(batch_rows),
             "repeats": int(repeats),
             "features": int(features),
-            "n_workers": int(n_workers),
             "n_models": 8,
             "seed": int(seed),
         },
@@ -155,7 +136,7 @@ def run_inference_benchmark(
             "numpy": np.__version__,
         },
         "runtime": {
-            "backend": runtime.name,
+            "backend": compiled,
             "version": RUNTIME_VERSION,
         },
         "results": results,
@@ -169,7 +150,7 @@ def run_inference_benchmark(
 #: both raw rows/s *and* the speedup ratios shift with batch size (small
 #: batches compress every packed speedup as python overhead dominates),
 #: so a quick-mode record can never be gated against a full-sweep one.
-_STRICT_KEYS = ("batch_rows", "repeats", "features", "n_workers")
+_STRICT_KEYS = ("batch_rows", "repeats", "features")
 
 
 def compare_inference_records(
@@ -184,15 +165,14 @@ def compare_inference_records(
     parameters, same core count means every shared ``(dim, variant)``
     cell's ``rows_per_s`` is compared directly and a drop larger than
     ``threshold`` is a regression; a different machine falls back to the
-    machine-independent *speedup ratios* (packed paths over the float
-    path on the same host).  Cross-machine comparison and quick-mode
+    machine-independent *speedup ratio* (the compiled plan over the
+    float path on the same host).  Cross-machine comparison and quick-mode
     records each double the slack (without compounding) — smoke runs
     are noisy enough that only catastrophic drops are signal.
 
-    The ``packed`` cell runs whatever backend the record requested, so
-    that cell — and every ratio built on it — is only diffed when both
-    records requested the same backend; the ``float``, ``packed_v2`` and
-    ``packed_mt`` cells are pinned and always comparable.
+    The compiled cell and its ratio are named after the backend the
+    record requested, so records that requested different backends
+    share only the ``float`` cell (and no ratio); ``note`` says so.
 
     Returns a dict with ``strict`` (which mode ran), ``compared`` (cells
     diffed), ``lines`` (human-readable diff rows), ``regressions`` (the
@@ -220,13 +200,12 @@ def compare_inference_records(
                 "nothing to gate"
             ),
         }
-    backend_match = baseline.get("runtime", {}).get("backend") == current.get(
+    if baseline.get("runtime", {}).get("backend") != current.get(
         "runtime", {}
-    ).get("backend")
-    if not backend_match:
+    ).get("backend"):
         note = (
-            "requested backends differ; the `packed` cell and its "
-            "ratios were skipped"
+            "requested backends differ; their compiled cells and ratios "
+            "were skipped"
         )
     strict = baseline.get("machine", {}).get("cpu_count") == current.get(
         "machine", {}
@@ -246,8 +225,6 @@ def compare_inference_records(
             key = (r["dim"], r["variant"])
             if key not in base or not base[key]:
                 continue
-            if key[1] == "packed" and not backend_match:
-                continue
             ratio = r["rows_per_s"] / base[key]
             line = (
                 f"D={key[0]} {key[1]}: {base[key]:,.0f} -> "
@@ -262,8 +239,6 @@ def compare_inference_records(
             for name, cur_val in ratios.items():
                 base_val = base_ratios.get(name)
                 if not base_val:
-                    continue
-                if "packed" in name.split("_vs_") and not backend_match:
                     continue
                 rel = cur_val / base_val
                 line = (

@@ -31,9 +31,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.encoding.nonlinear import encode_into
 from repro.engine.kernels import (
     TileScratch,
-    encode_tile,
     packed_query_words,
     query_scales,
     row_norms,
@@ -81,9 +81,8 @@ def _effective_workers(n_workers: int, n_tiles: int, n: int, dim: int) -> int:
 
     Falls back to the sequential loop when the host has one core, the
     batch has one tile, or the total work is below the measured
-    :data:`MT_MIN_ROWS_X_WORDS` cutoff — the fix for the ``packed_mt``
-    regression, where per-call thread dispatch made small batches slower
-    than single-threaded execution.
+    :data:`MT_MIN_ROWS_X_WORDS` cutoff, where per-call thread dispatch
+    would make small batches slower than single-threaded execution.
     """
     workers = min(max(1, int(n_workers)), n_tiles)
     if workers <= 1:
@@ -127,11 +126,17 @@ def _run_tile(
         query = Query(None, words=words, scales=q_scales)
         signs = None
     else:
-        # 1. Encode (Eq. 1), fused into the scratch buffers when the plan
+        # 1. Encode (Eq. 1) into the scratch buffers when the plan
         #    carries a projection snapshot.
         if enc is not None:
-            S = encode_tile(
-                X_tile, enc.bases, enc.phases, enc.scale, scratch
+            t = hi - lo
+            S = encode_into(
+                X_tile,
+                enc.bases,
+                enc.phases,
+                enc.scale,
+                scratch.main[:t],
+                scratch.aux[:t],
             )
         else:
             S = np.asarray(plan.encoder.encode_batch(X_tile), dtype=np.float64)
@@ -145,7 +150,7 @@ def _run_tile(
             if plan.predict_quant.query_is_binary
             else None
         )
-        words = packed_query_words(S, scratch) if plan.needs_words else None
+        words = packed_query_words(S, scratch) if plan.packed else None
         signs = sign_matrix(S, scratch) if plan.needs_signs else None
         if plan.needs_normalized:
             np.divide(S, norms[:, np.newaxis], out=S)

@@ -7,9 +7,11 @@ rows the full batch has.  Numpy's ufuncs and BLAS release the GIL on
 arrays of this size, which is what lets the executor fan tiles out over a
 thread pool.
 
-This module owns only the *query-side preparation* — fused encoding,
-norms, binarisation scales, sign matrices and packed words derived into
-scratch.  The similarity / softmax / dot-product arithmetic itself lives
+This module owns only the *query-side preparation* — norms,
+binarisation scales, sign matrices and packed words derived into
+scratch; the encoding itself is
+:func:`repro.encoding.nonlinear.encode_into` writing into the same
+buffers.  The similarity / softmax / dot-product arithmetic itself lives
 in :mod:`repro.runtime` and is reached through the plan's
 :class:`~repro.runtime.KernelBackend`, so serving and training share one
 kernel layer by construction.
@@ -54,32 +56,6 @@ class TileScratch:
         if self.fused is not None:
             return self.fused.nbytes
         return self.main.nbytes + self.aux.nbytes + self.bits.nbytes
-
-
-def encode_tile(
-    X: FloatArray,
-    bases: FloatArray,
-    phases: FloatArray,
-    scale: float,
-    scratch: TileScratch,
-) -> FloatArray:
-    """Nonlinear encode (Eq. 1) of a tile into ``scratch.main``.
-
-    Computes ``cos(X @ B * scale + phase) * sin(X @ B * scale)`` with the
-    same elementwise operation order as
-    :class:`~repro.encoding.nonlinear.NonlinearEncoder`, so per-row
-    results match the un-tiled encoder.
-    """
-    t = X.shape[0]
-    proj = scratch.main[:t]
-    tmp = scratch.aux[:t]
-    np.dot(X, bases, out=proj)
-    np.multiply(proj, scale, out=proj)
-    np.add(proj, phases, out=tmp)
-    np.cos(tmp, out=tmp)
-    np.sin(proj, out=proj)
-    np.multiply(proj, tmp, out=proj)
-    return proj
 
 
 def row_norms(S: FloatArray, eps: float = 1e-12) -> FloatArray:

@@ -6,7 +6,7 @@ hypervectors under the configured Section-3 quantisation — into a
 :class:`CompiledPlan`.  The operands are frozen
 :class:`~repro.runtime.FrozenClusterOperand` /
 :class:`~repro.runtime.FrozenModelOperand` snapshots built for a
-:class:`~repro.runtime.KernelBackend`: under the packed backend the
+:class:`~repro.runtime.KernelBackend`: under ``packed_v2`` the
 binary operands are bit-packed into ``uint64`` words at compile time, so
 at serve time the quantised similarity search and the fully-binary model
 dot products run as XOR + popcount instead of float matrix products
@@ -140,9 +140,7 @@ class CompiledPlan:
     :class:`~repro.runtime.FrozenModelOperand`); which representation
     each carries depends on the quantisation scheme and the compiled
     backend — full-precision matrices, a float sign matrix, or bit-packed
-    ``uint64`` words.  The flat ``cluster_matT`` / ``cluster_words`` /
-    ``model_matT`` / … accessors expose them under their historical
-    names.
+    ``uint64`` words.
     """
 
     in_features: int
@@ -176,43 +174,6 @@ class CompiledPlan:
     fused_encode: bool = field(default=False)
     #: refresh machinery: source-model weakref, operand trackers, stats
     _refresh: dict = field(init=False, default_factory=dict)
-
-    # -- historical flat operand accessors ---------------------------------
-
-    @property
-    def cluster_matT(self) -> FloatArray | None:
-        """Full-precision clusters, transposed (cosine search only)."""
-        return self.cluster_op.matT
-
-    @property
-    def cluster_norms(self) -> FloatArray | None:
-        """Cluster row norms for the cosine search."""
-        return self.cluster_op.norms
-
-    @property
-    def cluster_signsT(self) -> FloatArray | None:
-        """±1 cluster sign matrix, transposed (float sign search)."""
-        return self.cluster_op.signsT
-
-    @property
-    def cluster_words(self) -> np.ndarray | None:
-        """Bit-packed cluster sign words (packed Hamming search)."""
-        return self.cluster_op.words
-
-    @property
-    def model_matT(self) -> FloatArray | None:
-        """Effective model matrix, transposed (float dot products)."""
-        return self.model_op.matT
-
-    @property
-    def model_words(self) -> np.ndarray | None:
-        """Bit-packed model sign words (fully-binary dot products)."""
-        return self.model_op.words
-
-    @property
-    def model_scales(self) -> FloatArray | None:
-        """Per-model binarisation scales for the packed dot products."""
-        return self.model_op.scales
 
     @property
     def backend_name(self) -> str:
@@ -248,11 +209,6 @@ class CompiledPlan:
             self.predict_quant.query_is_binary and not self.packed_dots
         )
         return unpacked_sign_search or unpacked_binary_query
-
-    @property
-    def needs_words(self) -> bool:
-        """Whether the queries are packed into uint64 sign words."""
-        return self.packed_sims or self.packed_dots
 
     @property
     def rematerialized(self) -> bool:
@@ -445,18 +401,14 @@ def auto_tile_rows(
 
 
 def _resolve_compile_backend(
-    model: MultiModelRegHD,
-    packed: bool | None,
-    backend: "KernelBackend | str | None",
+    model: MultiModelRegHD, backend: "KernelBackend | str | None"
 ) -> KernelBackend:
-    """Pick the serving backend: packed flag > backend > config > env > auto.
+    """Pick the serving backend: backend > config > env > auto.
 
     The auto default keeps the engine's historical behaviour — packed
     operands exactly where a stage benefits (quantised cluster search or
     fully-binary dots), dense otherwise.
     """
-    if packed is not None:
-        return resolve_backend("packed" if packed else "dense")
     cfg = model.config
     if (
         backend is not None
@@ -475,7 +427,6 @@ def compile_model(
     model: MultiModelRegHD,
     *,
     backend: "KernelBackend | str | None" = None,
-    packed: bool | None = None,
     tile_rows: int | None = None,
     n_workers: int = 1,
     rematerialize: bool = False,
@@ -490,15 +441,12 @@ def compile_model(
         affecting the plan (until an explicit :meth:`CompiledPlan.refresh`).
     backend:
         Execution-runtime backend for the serving kernels (a registry
-        name or instance).  ``None`` defers to ``model.config.backend``,
-        then the ``REPRO_BACKEND`` environment variable, then the
-        historical automatic choice: packed exactly where a stage
-        benefits from it.
-    packed:
-        Legacy boolean override: ``True`` forces the packed popcount
-        backend wherever the quantisation scheme permits it, ``False``
-        keeps every stage on float operands.  Takes precedence over
-        ``backend`` when given.
+        name or instance): ``"dense"`` keeps every stage on float
+        operands, ``"packed_v2"`` runs XOR + popcount wherever the
+        quantisation scheme permits it.  ``None`` defers to
+        ``model.config.backend``, then the ``REPRO_BACKEND`` environment
+        variable, then the automatic choice: ``packed_v2`` exactly where
+        a stage benefits from it.
     tile_rows:
         Rows per execution tile.  ``None`` sizes tiles so one worker's
         scratch stays near 24 MiB (:func:`auto_tile_rows`).
@@ -533,7 +481,7 @@ def compile_model(
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     cfg = model.config
 
-    runtime = _resolve_compile_backend(model, packed, backend)
+    runtime = _resolve_compile_backend(model, backend)
     packed_sims = runtime.packs_similarities(cfg.cluster_quant)
     packed_dots = runtime.packs_dots(cfg.predict_quant)
 

@@ -14,14 +14,6 @@ from repro.ops.bundling import (
 )
 from repro.ops.item_memory import ItemMemory
 from repro.ops.normalize import normalize_rows, softmax
-from repro.ops.packing import (
-    pack_bits,
-    pack_sign_words,
-    packed_hamming_distance,
-    packed_hamming_similarity,
-    packed_sign_products,
-    unpack_bits,
-)
 from repro.ops.generate import (
     random_binary,
     random_bipolar,
@@ -56,12 +48,6 @@ __all__ = [
     "ItemMemory",
     "normalize_rows",
     "softmax",
-    "pack_bits",
-    "pack_sign_words",
-    "packed_hamming_distance",
-    "packed_hamming_similarity",
-    "packed_sign_products",
-    "unpack_bits",
     "random_binary",
     "random_bipolar",
     "random_gaussian",

@@ -101,6 +101,10 @@ class InputGuard:
         to a fresh :class:`~repro.robust.gate.MahalanobisGate` over
         ``in_features``; pass one explicitly to tune envelopes/warmup or
         to resume a checkpointed gate.
+
+    ``total`` sums the row and value counts over every checked batch.
+    Its ``issues`` list stays empty — the strings live only on each
+    batch's own report — so a long-lived guard does not grow.
     """
 
     def __init__(
@@ -275,7 +279,6 @@ class InputGuard:
         self.total.n_repaired_values += report.n_repaired_values
         self.total.n_dropped_rows += report.n_dropped_rows
         self.total.n_gated_rows += report.n_gated_rows
-        self.total.issues.extend(report.issues)
 
     def _emit(
         self,

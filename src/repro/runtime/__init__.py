@@ -7,10 +7,12 @@ package is that single routing point:
 
 * :mod:`repro.runtime.kernels` — the stateless arithmetic (similarities,
   softmax confidences, dots, segment/scatter accumulation), defined once;
-* :class:`KernelBackend` / :class:`DenseBackend` / :class:`PackedBackend`
-  — the dispatch layer choosing dense float or packed XOR+popcount
-  execution per kernel, resolved via :func:`resolve_backend` from an
-  explicit name, ``RegHDConfig.backend``, or ``REPRO_BACKEND``;
+* :class:`KernelBackend` / :class:`DenseBackend` (``"dense"``) /
+  :class:`PackedV2Backend` (``"packed_v2"``, over the
+  :class:`PackedBackend` Hamming kernels) — the dispatch layer choosing
+  dense float or packed XOR+popcount execution per kernel, resolved via
+  :func:`resolve_backend` from an explicit name, ``RegHDConfig.backend``,
+  or ``REPRO_BACKEND``;
 * :class:`Query` / :class:`QueryCache` — query-side operands with lazy,
   reusable derived representations (signs, packed words, scales);
 * :mod:`repro.runtime.operands` — model-side operands: live training

@@ -4,8 +4,9 @@ A :class:`KernelBackend` is the single dispatch point for every piece of
 RegHD arithmetic: cluster similarities, softmax confidences, model dot
 products, and the scatter-style updates.  The base class *is* the dense
 reference implementation — :class:`~repro.runtime.DenseBackend` inherits
-it unchanged, and :class:`~repro.runtime.PackedBackend` overrides exactly
-the kernels where a bit-packed representation applies.
+it unchanged, and :class:`~repro.runtime.PackedBackend` (the base of the
+``"packed_v2"`` backend) overrides exactly the kernels where a
+bit-packed representation applies.
 
 Backends are stateless singletons resolved through the shared registry
 (:data:`repro.registry.BACKEND_REGISTRY`) by :func:`resolve_backend`,
@@ -13,7 +14,7 @@ with the priority ``explicit argument > RegHDConfig.backend >
 REPRO_BACKEND environment variable > default`` — so a config that pins a
 backend is reproducible regardless of the environment, while the env var
 flips the default fleet-wide (the CI packed leg runs the whole suite
-under ``REPRO_BACKEND=packed``).
+under ``REPRO_BACKEND=packed_v2``).
 """
 
 from __future__ import annotations

@@ -1,33 +1,35 @@
-"""The bit-packed kernel backend: XOR + popcount where quantisation allows.
+"""The bit-packed kernels: XOR + popcount where quantisation allows.
 
-Where a computation is defined over ±1 sign patterns, this backend runs
+Where a computation is defined over ±1 sign patterns, these kernels run
 it over bit-packed uint64 words: the quantised cluster search (paper
 Sec. 3.1 — any :class:`ClusterQuant` other than ``NONE``) and the
 fully-binary model dots (Sec. 3.2, ``PredictQuant.BINARY_BOTH``).  The
 packed sign products are *bit-exact* against the dense sign matmul (the
-products are small integers), so quantised-search training under this
-backend reproduces the dense trajectory exactly; only the fully-binary
+products are small integers), so quantised-search training on packed
+words reproduces the dense trajectory exactly; only the fully-binary
 dots differ, by float rounding in the scale multiplication order.
 
 Everything not expressible over sign bits (full-precision cosine
 similarities, integer-operand dots, the update arithmetic that must hit
 the integer shadow copies exactly) falls through to the inherited dense
 kernels.
+
+:class:`PackedBackend` has no registry name of its own: it is the kernel
+base that :class:`~repro.runtime.PackedV2Backend` (``"packed_v2"``)
+extends with the fused encode→pack serving hook.
 """
 
 from __future__ import annotations
 
 from repro.runtime.quantization import ClusterQuant, PredictQuant
-from repro.registry import register_backend
 from repro.runtime import kernels
 from repro.runtime.base import KernelBackend
 from repro.runtime.query import QueryCache
 from repro.types import FloatArray
 
 
-@register_backend("packed")
 class PackedBackend(KernelBackend):
-    """Hamming-kernel backend over bit-packed uint64 sign words."""
+    """Hamming-kernel base over bit-packed uint64 sign words."""
 
     def packs_similarities(self, cluster_quant: ClusterQuant) -> bool:
         return cluster_quant is not ClusterQuant.NONE

@@ -1,22 +1,21 @@
-"""Second-generation packed backend: fused encode→pack serving kernels.
+"""The packed backend (``"packed_v2"``): Hamming kernels plus fused
+encode→pack serving.
 
-:class:`PackedV2Backend` supersedes :class:`PackedBackend` on the
-quantised paths.  It inherits every Hamming/packed-dot kernel (which now
-run cache-blocked for *all* packed backends — see
-:func:`repro.runtime.packing._pairwise_popcount_xor`) and adds the fused
-encode→pack entry point of :mod:`repro.runtime.fused`: when both the
-cluster search and the model dots consume packed words
+:class:`PackedV2Backend` is the one registered packed backend.  It
+inherits every Hamming/packed-dot kernel of :class:`PackedBackend`
+(cache-blocked — see :func:`repro.runtime.packing._pairwise_popcount_xor`)
+and adds the fused encode→pack entry point of :mod:`repro.runtime.fused`:
+when both the cluster search and the model dots consume packed words
 (``cluster_quant != NONE`` and ``predict_quant == BINARY_BOTH``), a
 compiled plan encodes raw feature rows directly into uint64 sign words
 plus binary-query scales, one cache-resident column block at a time,
 using the single-trig product-to-sum identity — the full float
 hypervector tile is never materialised.
 
-Training under this backend is bit-identical to :class:`PackedBackend`
-(the update and similarity kernels are shared); only compiled-plan
-serving gains the fused pipeline.  Fused-plan predictions agree with the
-dense reference to float rounding (the packed sign products themselves
-stay exact integers).
+Training runs the inherited kernels; only compiled-plan serving gains
+the fused pipeline.  Fused-plan predictions agree with the dense
+reference to float rounding (the packed sign products themselves stay
+exact integers).
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ This module is the single home of the bit-level packing primitives; the
 :class:`~repro.runtime.PackedBackend` builds its Hamming kernels on top
 of it, and both the training hot loops and the inference engine
 (``repro.engine``) reach the packed representation exclusively through
-the runtime.  ``repro.ops.packing`` re-exports the public names for
-backwards compatibility.
+the runtime.
 
 All pairwise kernels run over *cache blocks* of both operands so that
 the operand tiles and the XOR temporary stay L2-resident regardless of

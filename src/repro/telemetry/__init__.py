@@ -33,7 +33,7 @@ module-level sink, ``REPRO_TELEMETRY=1`` flips it at import time
 (``REPRO_TRACE=1`` additionally arms the tracer), and
 ``RegHDConfig.telemetry`` pins it per model.  Every metric the library
 emits is catalogued in :data:`~repro.telemetry.metrics.CATALOG`
-(reproduced in DESIGN.md §1.13).
+(reproduced in DESIGN.md §1.12).
 
 This package imports nothing from the rest of the library at module
 level, so any layer (runtime, engine, reliability) may instrument itself

@@ -21,7 +21,7 @@ in order:
 
 The metric *name catalogue* (:data:`CATALOG`) documents every metric the
 library emits and provides the ``# HELP`` text for the exporter; it is
-reproduced in DESIGN.md §1.13.
+reproduced in DESIGN.md §1.12.
 """
 
 from __future__ import annotations

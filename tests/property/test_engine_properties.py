@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import MultiModelRegHD, RegHDConfig
 from repro.core import ClusterQuant, ConvergencePolicy, PredictQuant
-from repro.ops.packing import pack_sign_words, packed_sign_products
+from repro.runtime.packing import pack_sign_words, packed_sign_products
 from repro.runtime import Query
 
 CONV = ConvergencePolicy(max_epochs=2, patience=2)
@@ -63,7 +63,7 @@ class TestPlanModelEquivalence:
     def test_unpacked_backend_matches_too(self, cq, pq):
         model = _fitted(cq, pq, seed=1)
         X = np.random.default_rng(7).normal(size=(23, 4))
-        plan = model.compile(packed=False, tile_rows=10)
+        plan = model.compile(backend="dense", tile_rows=10)
         np.testing.assert_allclose(
             plan.predict(X), model.predict(X), rtol=1e-9, atol=1e-10
         )

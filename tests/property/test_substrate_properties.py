@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ops.generate import random_binary
-from repro.ops.packing import (
+from repro.runtime.packing import (
     pack_bits,
     packed_hamming_distance,
     unpack_bits,

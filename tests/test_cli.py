@@ -240,21 +240,19 @@ class TestBench:
                 "--rows", "32",
                 "--repeats", "2",
                 "--features", "4",
-                "--workers", "2",
                 "--output", str(out_file),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "rows_per_s" in out and "vs float" in out
+        assert "rows_per_s" in out and "packed_v2" in out and "vs float" in out
         record = json.loads(out_file.read_text())
         assert record["schema"] == 1
         assert record["benchmark"] == "reghd-inference-engine"
+        assert record["runtime"]["backend"] == "packed_v2"
         assert {r["variant"] for r in record["results"]} == {
             "float",
-            "packed",
             "packed_v2",
-            "packed_mt",
         }
         assert set(record["speedups"]) == {"64", "96"}
 
@@ -275,6 +273,17 @@ class TestBench:
         ) == 0
         capsys.readouterr()
         assert json.loads(out_file.read_text())["quick"] is True
+
+    @pytest.mark.parametrize("command", ["bench", "predict"])
+    def test_backend_choices_are_the_registered_backends(self, command, capsys):
+        args = [command, "--backend", "packed"]
+        if command == "predict":
+            args[1:1] = ["model.npz", "rows.txt"]
+        with pytest.raises(SystemExit):
+            main(args)
+        err = capsys.readouterr().err
+        choices = err[err.index("choose from") :]
+        assert "dense" in choices and "packed_v2" in choices
 
     def test_bench_rejects_bad_dims(self, capsys):
         assert main(["bench", "--dims", "abc"]) == 1

@@ -89,7 +89,8 @@ class TestCompile:
     @pytest.mark.usefixtures("auto_backend")
     def test_operands_are_read_only(self):
         plan = _fitted().compile()
-        for arr in (plan.cluster_words, plan.model_words, plan.model_scales):
+        ops = (plan.cluster_op.words, plan.model_op.words, plan.model_op.scales)
+        for arr in ops:
             assert arr is not None
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -109,7 +110,7 @@ class TestCompile:
         assert "packed-sims" in repr(plan) and "packed-dots" in repr(plan)
         assert plan.nbytes > 0
         # Packed cluster operands are 64x smaller than their float form.
-        assert plan.cluster_words.nbytes * 8 <= plan.dim * plan.n_models
+        assert plan.cluster_op.words.nbytes * 8 <= plan.dim * plan.n_models
 
     def test_auto_tile_rows_bounds(self):
         assert auto_tile_rows(10) == 4096
@@ -122,8 +123,8 @@ class TestPredict:
         model = _fitted()
         X, _ = _task(seed=1, n=67)
         ref = model.predict(X)
-        for packed in (True, False):
-            plan = model.compile(packed=packed)
+        for backend in ("packed_v2", "dense"):
+            plan = model.compile(backend=backend)
             np.testing.assert_allclose(
                 plan.predict(X), ref, rtol=1e-9, atol=1e-10
             )
@@ -204,17 +205,17 @@ class TestTileScratch:
 
 class TestConcurrentCallers:
     @pytest.mark.parametrize(
-        "options",
-        [{"backend": "packed_v2"}, {"packed": False}],
+        "backend",
+        ["packed_v2", "dense"],
         ids=["fused", "float"],
     )
-    def test_interleaved_calls_match_solo_calls(self, options):
+    def test_interleaved_calls_match_solo_calls(self, backend):
         """Four threads interleave 1-, 8- and 300-row predicts on one plan
         (the fused packed_v2 plan, then a float plan); every result equals
         the same call made alone, so concurrent callers never share
         scratch buffers."""
-        plan = _fitted(dim=4096).compile(**options)
-        assert plan.fused_encode is ("backend" in options)
+        plan = _fitted(dim=4096).compile(backend=backend)
+        assert plan.fused_encode is (backend == "packed_v2")
         rng = np.random.default_rng(11)
         sizes = [1, 8] * 8 + [300, 300]
         batches = [rng.normal(size=(n, 5)) for n in sizes]
@@ -274,7 +275,7 @@ class TestPlanRefresh:
         assert after["rows_refreshed"] == before["rows_refreshed"]
         # the decayed scales still reach the plan
         np.testing.assert_allclose(
-            plan.model_scales, model.models.scales
+            plan.model_op.scales, model.models.scales
         )
 
     def test_refresh_rejects_foreign_model(self):
@@ -286,10 +287,10 @@ class TestPlanRefresh:
     def test_compile_backend_name_selects_kernels(self):
         model = _fitted()
         dense = model.compile(backend="dense")
-        packed = model.compile(backend="packed")
+        packed = model.compile(backend="packed_v2")
         assert not dense.packed and packed.packed
         assert dense.backend_name == "dense"
-        assert packed.backend_name == "packed"
+        assert packed.backend_name == "packed_v2"
         X, _ = _task(seed=5, n=41)
         np.testing.assert_allclose(
             dense.predict(X), packed.predict(X), rtol=1e-9, atol=1e-10
@@ -346,20 +347,21 @@ class TestServingIntegration:
 class TestBenchHarness:
     def test_quick_benchmark_schema(self):
         record = run_inference_benchmark(
-            dims=(64, 96), batch_rows=32, repeats=2, features=4, n_workers=2
+            dims=(64, 96), batch_rows=32, repeats=2, features=4
         )
         assert record["schema"] == 1
+        assert record["runtime"]["backend"] == "packed_v2"
         assert {r["variant"] for r in record["results"]} == {
             "float",
-            "packed",
             "packed_v2",
-            "packed_mt",
         }
-        assert len(record["results"]) == 8
+        assert len(record["results"]) == 4
         for stats in record["results"]:
             assert stats["rows_per_s"] > 0
             assert stats["p50_ms"] <= stats["p99_ms"] + 1e-9
-        assert set(record["speedups"]) == {"64", "96"}
+        assert {
+            dim: set(ratios) for dim, ratios in record["speedups"].items()
+        } == {"64": {"packed_v2_vs_float"}, "96": {"packed_v2_vs_float"}}
 
     def test_quick_flag_shrinks_sweep(self):
         record = run_inference_benchmark(
@@ -378,26 +380,17 @@ class TestCompareGate:
                 "batch_rows": 32,
                 "repeats": 2,
                 "features": 4,
-                "n_workers": 2,
             },
             "machine": {"cpu_count": 4},
-            "runtime": {"backend": "packed"},
+            "runtime": {"backend": "packed_v2"},
             "results": [
-                {"dim": 64, "variant": v, "rows_per_s": r}
-                for v, r in (
-                    ("float", 100.0),
-                    ("packed", 200.0),
-                    ("packed_v2", 300.0),
-                    ("packed_mt", 310.0),
-                )
+                {"dim": d, "variant": v, "rows_per_s": r}
+                for d in (64, 96)
+                for v, r in (("float", 100.0), ("packed_v2", 300.0))
             ],
             "speedups": {
-                "64": {
-                    "packed_vs_float": 2.0,
-                    "packed_v2_vs_float": 3.0,
-                    "packed_v2_vs_packed": 1.5,
-                    "packed_mt_vs_float": 3.1,
-                }
+                "64": {"packed_v2_vs_float": 3.0},
+                "96": {"packed_v2_vs_float": 3.0},
             },
         }
         for key, val in overrides.items():
@@ -437,24 +430,33 @@ class TestCompareGate:
 
     def test_cross_machine_falls_back_to_ratios_with_doubled_slack(self):
         current = self._record(machine={"cpu_count": 8})
-        current["speedups"]["64"]["packed_v2_vs_packed"] = 1.3  # -13% < 20%
-        current["speedups"]["64"]["packed_vs_float"] = 1.0  # -50%
+        current["speedups"]["64"]["packed_v2_vs_float"] = 2.6  # -13% < 20%
+        current["speedups"]["96"]["packed_v2_vs_float"] = 1.5  # -50%
         report = compare_inference_records(self._record(), current)
         assert not report["strict"]
+        assert report["compared"] == 2
         assert len(report["regressions"]) == 1
-        assert "packed_vs_float" in report["regressions"][0]
+        assert report["regressions"][0].startswith("D=96 packed_v2_vs_float")
 
     def test_backend_mismatch_skips_packed_cells(self):
+        """A record that requested another backend shares only the float
+        cell with the baseline: its compiled cell and ratio are named
+        after that backend and never diffed against ``packed_v2``."""
         current = self._record(runtime={"backend": "dense"})
-        current["speedups"]["64"]["packed_vs_float"] = 0.1
-        current["speedups"]["64"]["packed_v2_vs_packed"] = 30.0
-        for row in current["results"]:
-            if row["variant"] == "packed":
-                row["rows_per_s"] = 1.0
+        current["results"] = [
+            {**row, "variant": "dense", "rows_per_s": 1.0}
+            if row["variant"] == "packed_v2"
+            else row
+            for row in current["results"]
+        ]
+        current["speedups"] = {
+            dim: {"dense_vs_float": 0.01} for dim in ("64", "96")
+        }
         strict = compare_inference_records(self._record(), current)
         assert strict["strict"] and not strict["regressions"]
-        assert strict["compared"] == 3 and "skipped" in strict["note"]
+        assert strict["compared"] == 2 and "skipped" in strict["note"]
+        assert all(" float:" in line for line in strict["lines"])
         cross = self._record(machine={"cpu_count": 8})
         ratio = compare_inference_records(cross, current)
         assert not ratio["strict"] and not ratio["regressions"]
-        assert ratio["compared"] == 2  # packed_v2/packed_mt vs float only
+        assert ratio["compared"] == 0

@@ -28,9 +28,9 @@ SEED = 1234
 CONV = ConvergencePolicy(max_epochs=4, patience=2)
 
 #: Every execution-runtime backend must reproduce the golden trajectories.
-#: Packed sign products are exact integers, so the packed backends are
+#: Packed sign products are exact integers, so the packed backend is
 #: bit-identical everywhere except the BINARY_BOTH dots (scale rounding).
-BACKENDS = ("dense", "packed", "packed_v2")
+BACKENDS = ("dense", "packed_v2")
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,8 @@ import pytest
 from repro.exceptions import DimensionalityError
 from repro.ops.generate import random_binary
 
-# The implementation module (tile budget / popcount knobs live there); the
-# ``repro.ops.packing`` imports below exercise the compatibility shim.
 from repro.runtime import packing
-from repro.ops.packing import (
+from repro.runtime.packing import (
     pack_bits,
     pack_sign_words,
     packed_hamming_distance,

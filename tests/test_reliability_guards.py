@@ -158,6 +158,22 @@ class TestAccumulation:
         assert guard.total.n_rows_in == 15
         assert guard.total.n_dropped_rows == 3
 
+    def test_totals_keep_counts_not_issue_strings(self):
+        """A long stream of dirty batches leaves exact counts behind and
+        retains none of the per-batch issue strings."""
+        guard = InputGuard(2, policy="repair")
+        X = np.array([[np.nan, 1.0], [2.0, np.inf], [0.5, 0.5]])
+        y = np.array([1.0, 2.0, np.nan])
+        for _ in range(10_000):
+            _, _, report = guard.check(X, y)
+        assert len(report.issues) == 2
+        total = guard.total
+        assert total.n_rows_in == 30_000
+        assert total.n_rows_out == 20_000
+        assert total.n_repaired_values == 20_000
+        assert total.n_dropped_rows == 10_000
+        assert total.issues == []
+
 
 def _linear_batches(rng, n=300, d=3):
     X = rng.normal(size=(n, d))

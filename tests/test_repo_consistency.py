@@ -20,6 +20,8 @@ SHARED_OPS = SRC / "repro" / "ops" / "normalize.py"
 SCALER_MODULE = SRC / "repro" / "core" / "estimator.py"
 #: the execution runtime — the only place kernel arithmetic may live
 RUNTIME_DIR = SRC / "repro" / "runtime"
+#: the compiled inference engine
+ENGINE_DIR = SRC / "repro" / "engine"
 #: symbolic HD binding (uint8 XOR) — an ops primitive, not a packed kernel
 BINDING_OPS = SRC / "repro" / "ops" / "binding.py"
 #: the telemetry layer — the only sanctioned wall-clock site
@@ -162,6 +164,21 @@ def test_no_softmax_calls_outside_runtime():
     )
 
 
+def test_no_eq1_encode_in_engine_or_runtime():
+    """Eq. (1) has one float implementation,
+    :func:`repro.encoding.nonlinear.encode_into`, which the unfused
+    serving tile calls; the fused single-trig encode needs no cosine.
+    A ``np.cos(`` in the engine or the runtime is a re-derived encoder."""
+    serving = set(ENGINE_DIR.rglob("*.py")) | _runtime_sources()
+    hits = _offending_lines(
+        r"np\.cos\(", exclude=set(_python_sources()) - serving
+    )
+    assert not hits, (
+        "Eq. (1) cosine in repro/engine or repro/runtime — call "
+        "repro.encoding.nonlinear.encode_into:\n" + "\n".join(hits)
+    )
+
+
 def test_no_ad_hoc_timing_outside_telemetry():
     """Wall-clock reads go through ``repro.telemetry.timing.monotonic`` —
     one sanctioned site keeps every duration a span/histogram can capture
@@ -216,7 +233,7 @@ def test_no_hypervector_mutation_outside_delta_protocol():
     )
 
 
-@pytest.mark.parametrize("name", ["dense", "packed", "packed_v2"])
+@pytest.mark.parametrize("name", ["dense", "packed_v2"])
 def test_every_backend_registered(name):
     from repro.registry import BACKEND_REGISTRY
 

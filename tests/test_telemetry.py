@@ -88,7 +88,7 @@ class TestRegistry:
         a = reg.counter("reghd_kernel_calls_total", backend="dense", kernel="x")
         b = reg.counter("reghd_kernel_calls_total", kernel="x", backend="dense")
         assert a is b
-        c = reg.counter("reghd_kernel_calls_total", backend="packed", kernel="x")
+        c = reg.counter("reghd_kernel_calls_total", backend="packed_v2", kernel="x")
         assert c is not a
         assert len(reg) == 2
 
@@ -364,7 +364,7 @@ class TestExporters:
         meta = telemetry.default_meta()
         assert meta["package_version"] == repro.__version__
         assert meta["runtime_version"] == RUNTIME_VERSION
-        assert meta["backend"] in ("dense", "packed", "packed_v2")
+        assert meta["backend"] in ("dense", "packed_v2")
 
     def test_label_escaping(self):
         reg = MetricsRegistry()
@@ -396,7 +396,7 @@ class TestResolveBackendErrors:
             resolve_backend("vulkan")
         message = str(excinfo.value)
         assert "vulkan" in message
-        assert "dense" in message and "packed" in message
+        assert "dense" in message and "packed_v2" in message
         assert "explicit backend choice" in message
 
     def test_unknown_env_var_names_its_source(self, monkeypatch):
@@ -413,6 +413,52 @@ class TestResolveBackendErrors:
 
         with pytest.raises(ValueError):
             resolve_backend("bogus")
+
+    @pytest.mark.parametrize(
+        "source, label",
+        [
+            ("argument", "explicit backend choice"),
+            ("config", "RegHDConfig.backend"),
+            ("env", "REPRO_BACKEND environment variable"),
+            ("model_file", "RegHDConfig.backend"),
+        ],
+        ids=["argument", "config", "env", "model_file"],
+    )
+    def test_retired_packed_name_is_rejected(
+        self, source, label, monkeypatch, tmp_path
+    ):
+        """``packed`` is no longer a backend name: pinning it from any
+        source fails with the registered names and where the pin came
+        from — a saved model's config included."""
+        from repro import load_model, save_model
+        from repro.registry import BACKEND_REGISTRY
+        from repro.runtime import resolve_backend
+
+        assert sorted(BACKEND_REGISTRY) == ["dense", "packed_v2"]
+        path = tmp_path / "model.npz"
+        if source == "model_file":
+            model = MultiModelRegHD(3, RegHDConfig(dim=64, n_models=2))
+            X = np.random.default_rng(0).normal(size=(16, 3))
+            model.fit(X, X[:, 0])
+            save_model(model, path)
+            arrays = dict(np.load(path))
+            meta = json.loads(str(arrays["_meta"]))
+            meta["config"]["backend"] = "packed"
+            arrays["_meta"] = np.array(json.dumps(meta))
+            np.savez(path, **arrays)
+        with pytest.raises(ConfigurationError) as excinfo:
+            if source == "argument":
+                resolve_backend("packed")
+            elif source == "config":
+                RegHDConfig(backend="packed")
+            elif source == "env":
+                monkeypatch.setenv("REPRO_BACKEND", "packed")
+                MultiModelRegHD(3, RegHDConfig(dim=64, n_models=2))
+            else:
+                load_model(path)
+        message = str(excinfo.value)
+        assert "'packed'" in message and label in message
+        assert "['dense', 'packed_v2']" in message
 
 
 class TestInstrumentedBackend:
@@ -524,7 +570,7 @@ class TestTrainingAndCacheMetrics:
                 dim=128,
                 n_models=2,
                 seed=0,
-                backend="packed",
+                backend="packed_v2",
                 cluster_quant=ClusterQuant.FRAMEWORK,
                 predict_quant=PredictQuant.BINARY_BOTH,
             ),
@@ -546,7 +592,7 @@ class TestTrainingAndCacheMetrics:
         assert builds >= 1  # begin_training built the epoch cache
         assert hits >= 1  # every batch after that served from it
 
-    @pytest.mark.parametrize("backend", ["dense", "packed"])
+    @pytest.mark.parametrize("backend", ["dense", "packed_v2"])
     def test_stream_reuse_counts_under_encoded(
         self, tiny_regression, backend
     ):
