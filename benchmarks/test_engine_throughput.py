@@ -73,14 +73,10 @@ def test_variants_agree_numerically():
     ref = model.predict(X)
     packed = model.compile(backend="packed_v2")
     unpacked = model.compile(backend="dense")
+    threaded = model.compile(backend="packed_v2", tile_rows=64, n_workers=4)
+    np.testing.assert_allclose(packed.predict(X), ref, rtol=1e-9, atol=1e-10)
     np.testing.assert_allclose(
-        packed.predict(X, n_workers=1), ref, rtol=1e-9, atol=1e-10
-    )
-    np.testing.assert_allclose(
-        packed.predict(X, tile_rows=64, n_workers=4),
-        ref,
-        rtol=1e-9,
-        atol=1e-10,
+        threaded.predict(X), ref, rtol=1e-9, atol=1e-10
     )
     np.testing.assert_allclose(unpacked.predict(X), ref, rtol=1e-9, atol=1e-10)
     remat = model.compile(backend="packed_v2", rematerialize=True)

@@ -172,18 +172,6 @@ class ModelDelta:
     row_counts: dict[str, np.ndarray] = field(default_factory=dict)
     moments: TargetMoments = field(default_factory=TargetMoments)
 
-    def touched_rows(self, name: str) -> np.ndarray:
-        """Boolean mask of rows this delta actually moved.
-
-        For 1-D arrays the mask is scalar-per-array (a single pseudo-row).
-        Consumed by :meth:`repro.engine.CompiledPlan.refresh` to restrict
-        full-precision operand refreshes to delta-touched rows.
-        """
-        arr = self.arrays[name]
-        if arr.ndim == 1:
-            return np.array([bool(np.any(arr != 0.0))])
-        return np.any(arr != 0.0, axis=1)
-
     @property
     def nbytes(self) -> int:
         """Payload size of the delta arrays (wire-cost accounting)."""

@@ -156,12 +156,12 @@ class MultiModelRegHD(BaseRegHDEstimator):
     # -- similarity / confidence ------------------------------------------
 
     def _query(self, S: FloatArray | Query) -> Query:
-        """Wrap a batch for the runtime, reusing epoch-cached operands.
+        """Wrap a batch for the runtime, reusing the epoch-spanning query.
 
         A :class:`Query` passes through as is.  For a matrix, identity
         check (``cache.S is S``): the trainer presents the same encoded
-        matrix every epoch, so its cached packed operands apply exactly
-        when the caller passes that matrix itself.
+        matrix every epoch, so the training query's derived operands
+        apply exactly when the caller passes that matrix itself.
         """
         if isinstance(S, Query):
             return S
@@ -172,7 +172,7 @@ class MultiModelRegHD(BaseRegHDEstimator):
                 registry.counter(
                     "reghd_cache_events_total", cache="query", event="hit"
                 ).inc()
-            return cache.query()
+            return cache
         if registry is not None and cache is not None:
             registry.counter(
                 "reghd_cache_events_total", cache="query", event="miss"

@@ -11,9 +11,8 @@ serving model — maps onto the delta protocol as a loop:
    result into the live :class:`~repro.streaming.StreamingRegHD` (or
    :class:`~repro.reliability.resilient.ResilientStreamingRegHD`)
    between checkpoints via
-   :meth:`~repro.streaming.StreamingRegHD.absorb_delta` — which
-   refreshes the long-lived serving plan with the delta's row hint, so
-   serving never recompiles.
+   :meth:`~repro.streaming.StreamingRegHD.absorb_delta` — which swaps
+   in a refreshed serving plan, so serving never recompiles.
 
 Prequential honesty is preserved: each round predicts the arriving
 batch *before* any shard trains on it, so the reported error is online

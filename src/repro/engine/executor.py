@@ -84,7 +84,7 @@ def _effective_workers(n_workers: int, n_tiles: int, n: int, dim: int) -> int:
     :data:`MT_MIN_ROWS_X_WORDS` cutoff, where per-call thread dispatch
     would make small batches slower than single-threaded execution.
     """
-    workers = min(max(1, int(n_workers)), n_tiles)
+    workers = min(n_workers, n_tiles)
     if workers <= 1:
         return 1
     if (os.cpu_count() or 1) <= 1:
@@ -203,14 +203,9 @@ def _run_tile(
             )
 
 
-def execute_plan(
-    plan: "CompiledPlan",
-    X: FloatArray,
-    *,
-    tile_rows: int,
-    n_workers: int,
-) -> FloatArray:
-    """Predict a full batch through the tiled pipeline."""
+def execute_plan(plan: "CompiledPlan", X: FloatArray) -> FloatArray:
+    """Predict a full batch through the tiled pipeline, in
+    ``plan.tile_rows``-row tiles on up to ``plan.n_workers`` threads."""
     n = X.shape[0]
     out = np.empty(n, dtype=np.float64)
     if n == 0:
@@ -218,14 +213,14 @@ def execute_plan(
     registry = _metrics.active()
     if registry is not None:
         registry.counter("reghd_serving_rows_total").inc(n)
-    tile_rows = max(1, int(tile_rows))
+    tile_rows = plan.tile_rows
     spans = [
         (lo, min(lo + tile_rows, n)) for lo in range(0, n, tile_rows)
     ]
     # Rematerialised plans regenerate the projection here — once per
     # call, shared read-only by every tile.
     enc = plan.encoder_operands()
-    workers = _effective_workers(n_workers, len(spans), n, plan.dim)
+    workers = _effective_workers(plan.n_workers, len(spans), n, plan.dim)
 
     # Snapshot the open trace once; worker threads receive it by value
     # (contextvars do not cross the persistent pool's threads).

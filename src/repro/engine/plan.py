@@ -13,17 +13,20 @@ dot products run as XOR + popcount instead of float matrix products
 (paper Sec. 3: D-*bit* logic in place of D-element arithmetic).
 
 The plan is a value, not a view: further training of the source model
-does not change a compiled plan, and a plan never mutates the model.
-That makes plans safe to hand to serving threads while the online
-learner keeps updating.  When the learner wants the plan to catch up it
-calls :meth:`CompiledPlan.refresh` explicitly — an *incremental* update
-that re-packs only the operand rows whose sign pattern actually moved
-(see :meth:`repro.streaming.StreamingRegHD.update`), instead of
-recompiling the whole plan after every absorbed batch.
+does not change a compiled plan, a plan never mutates the model, and
+nothing mutates a plan.  That makes plans safe to hand to serving
+threads while the online learner keeps updating.  When the learner wants
+a plan to catch up it calls :meth:`CompiledPlan.refresh`, which returns
+a *new* plan through the same snapshot path as :func:`compile_model`:
+unchanged operand arrays are shared and only the rows whose sign pattern
+actually moved are re-packed, so the learner swaps in a fresh plan after
+every absorbed batch (see :meth:`repro.streaming.StreamingRegHD.update`)
+instead of recompiling it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import weakref
 from dataclasses import dataclass, field
@@ -47,8 +50,7 @@ from repro.runtime import (
     KernelBackend,
     freeze_cluster_operand,
     freeze_model_operand,
-    refresh_cluster_operand,
-    refresh_model_operand,
+    frozen_copy,
     resolve_backend,
 )
 from repro.telemetry import metrics as _metrics
@@ -87,40 +89,34 @@ class EncoderSpec:
 
 
 class RefreshStats(dict):
-    """Snapshot/refresh counters of a plan, with dict compatibility.
+    """Snapshot/refresh counters of a plan lineage, with dict compatibility.
 
-    Keys: ``compiles`` (full compilations — always 1 for a live plan),
-    ``rows_snapshotted`` (operand rows copied at compile time),
-    ``refreshes`` (incremental :meth:`CompiledPlan.refresh` calls),
-    ``rows_refreshed`` / ``rows_reused`` (per-row refresh split).  A full
-    ``compile()`` and an incremental ``refresh()`` are therefore
-    distinguishable: compiles touch ``compiles``/``rows_snapshotted``
-    only, refreshes touch the other three.
+    A lineage is one compiled plan plus every plan refreshed from it;
+    they all count into one shared set of counters.  Keys: ``compiles``
+    (full compilations — always 1 for a lineage), ``rows_snapshotted``
+    (operand rows copied at compile time), ``refreshes`` (incremental
+    :meth:`CompiledPlan.refresh` calls), ``rows_refreshed`` /
+    ``rows_reused`` (per-row refresh split).  A full ``compile()`` and an
+    incremental ``refresh()`` are therefore distinguishable: compiles
+    touch ``compiles``/``rows_snapshotted`` only, refreshes touch the
+    other three.
 
-    :meth:`reset` zeroes the *incremental* counters on the owning plan
+    :meth:`reset` zeroes the lineage's *incremental* counters
     (``refreshes``, ``rows_refreshed``, ``rows_reused``), so a caller can
     measure one window of streaming refreshes; the compile-time
     provenance keys are preserved.  The instance itself is a value copy —
-    mutating it does not touch the plan.
+    mutating it does not touch the plans.
     """
 
-    def __init__(self, data: dict, owner: "CompiledPlan"):
-        super().__init__(data)
-        self._owner = owner
+    def __init__(self, counters: dict):
+        super().__init__(counters)
+        self._counters = counters
 
     def reset(self) -> None:
-        """Zero the owning plan's incremental refresh counters."""
-        stats = self._owner._refresh["stats"]
+        """Zero the lineage's incremental refresh counters."""
         for key in ("refreshes", "rows_refreshed", "rows_reused"):
-            stats[key] = 0
+            self._counters[key] = 0
             self[key] = 0
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """A contiguous, read-only float64/uint64-preserving copy."""
-    out = np.ascontiguousarray(np.array(array, copy=True))
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, repr=False, eq=False)
@@ -130,10 +126,10 @@ class CompiledPlan:
     Instances are produced by :func:`compile_model` (or the convenience
     :meth:`MultiModelRegHD.compile <repro.core.multi.MultiModelRegHD.compile>`)
     and execute prediction through the tiled engine via :meth:`predict`.
-    All operand arrays are read-only; the plan never mutates the model it
-    was compiled from, and training the model does not change the plan.
-    The only sanctioned mutation is :meth:`refresh`, which incrementally
-    re-snapshots the operands from the source model.
+    A plan is immutable: all operand arrays are read-only, the plan never
+    mutates the model it was compiled from, and training the model does
+    not change the plan.  :meth:`refresh` returns a new plan for the
+    further-trained model and leaves this one as it was.
 
     The operands live in ``cluster_op`` / ``model_op``
     (:class:`~repro.runtime.FrozenClusterOperand` /
@@ -172,8 +168,10 @@ class CompiledPlan:
     enc_spec: "EncoderSpec | None" = field(default=None)
     #: whether serving runs the fused encode→pack pipeline
     fused_encode: bool = field(default=False)
-    #: refresh machinery: source-model weakref, operand trackers, stats
-    _refresh: dict = field(init=False, default_factory=dict)
+    #: weak reference to the model the lineage was compiled from
+    _source: "weakref.ref | None" = field(default=None)
+    #: compile/refresh counters shared by every plan of the lineage
+    _stats: dict = field(default_factory=dict)
 
     @property
     def backend_name(self) -> str:
@@ -259,99 +257,84 @@ class CompiledPlan:
 
     # -- incremental refresh ------------------------------------------------
 
-    def refresh(
-        self, model: MultiModelRegHD, delta=None
-    ) -> tuple[int, int]:
-        """Re-snapshot the operands from the (further-trained) source model.
+    def refresh(self, model: MultiModelRegHD) -> "CompiledPlan":
+        """A new plan for the (further-trained) source model.
 
-        Only rows whose sign pattern moved since the last snapshot are
-        re-packed / re-copied (tracked through
-        :attr:`repro.runtime.DualCopy.sign_versions`); full-precision
-        operands refresh wholesale but only when the model actually
-        changed.  Returns ``(rows_refreshed, rows_reused)`` for this call.
-
-        ``delta`` may carry the :class:`~repro.core.delta.ModelDelta`
-        that was just applied to the model (a merged shard fold, say):
-        its :meth:`~repro.core.delta.ModelDelta.touched_rows` masks then
-        narrow the *full-precision* operand refreshes to the rows the
-        delta actually moved, instead of re-copying every row on any
-        version bump.  Sign-derived operands already diff per-row and
-        ignore the hint.  Passing a delta that does not describe the
-        model's latest changes serves stale rows — callers hand in only
-        the delta they just applied.
+        This plan is left untouched, so a reader still holding it keeps
+        serving one consistent model state; the caller swaps the returned
+        plan in with one assignment.  The operands go through
+        :func:`compile_model`'s own snapshot path: the new plan shares
+        every operand array whose source did not move, re-packs only the
+        rows whose sign pattern moved (tracked through
+        :attr:`repro.runtime.DualCopy.sign_versions`), and copies
+        full-precision operands whole when the model changed.  The
+        per-row split counts into the lineage's :attr:`refresh_stats`.
 
         ``model`` must be the instance this plan was compiled from —
         refreshing from an unrelated model would silently mix two models'
         state, so it raises :class:`ConfigurationError` instead.
         """
-        source = self._refresh.get("source")
-        if source is None or source() is not model:
+        if self._source is None or self._source() is not model:
             raise ConfigurationError(
                 "CompiledPlan.refresh requires the model the plan was "
                 "compiled from"
             )
-        object.__setattr__(self, "y_mean", float(model.scaler.mean))
-        object.__setattr__(self, "y_scale", float(model.scaler.scale))
-        cluster_rows = model_rows = None
-        if delta is not None:
-            if "clusters_integer" in delta.arrays:
-                cluster_rows = delta.touched_rows("clusters_integer")
-            if "models_integer" in delta.arrays:
-                model_rows = delta.touched_rows("models_integer")
-        c_new, c_old = refresh_cluster_operand(
-            self.cluster_op,
+        cluster_op, cluster_rows = freeze_cluster_operand(
             model.clusters,
-            self._refresh["clusters"],
-            rows=cluster_rows,
+            self.cluster_quant,
+            packed=self.packed_sims,
+            previous=self.cluster_op,
         )
-        m_new, m_old = refresh_model_operand(
-            self.model_op,
+        model_op, model_rows = freeze_model_operand(
             model.models,
-            self._refresh["models"],
-            rows=model_rows,
+            self.predict_quant,
+            packed=self.packed_dots,
+            previous=self.model_op,
         )
-        stats = self._refresh["stats"]
+        refreshed = cluster_rows + model_rows
+        reused = 2 * self.n_models - refreshed
+        stats = self._stats
         stats["refreshes"] += 1
-        stats["rows_refreshed"] += c_new + m_new
-        stats["rows_reused"] += c_old + m_old
+        stats["rows_refreshed"] += refreshed
+        stats["rows_reused"] += reused
         registry = _metrics.active()
         if registry is not None:
             registry.counter("reghd_plan_refreshes_total").inc()
-            if c_new + m_new:
+            if refreshed:
                 registry.counter(
                     "reghd_plan_rows_total", event="refreshed"
-                ).inc(c_new + m_new)
-            if c_old + m_old:
+                ).inc(refreshed)
+            if reused:
                 registry.counter(
                     "reghd_plan_rows_total", event="reused"
-                ).inc(c_old + m_old)
-        return c_new + m_new, c_old + m_old
+                ).inc(reused)
+        return dataclasses.replace(
+            self,
+            y_mean=float(model.scaler.mean),
+            y_scale=float(model.scaler.scale),
+            cluster_op=cluster_op,
+            model_op=model_op,
+        )
 
     @property
     def refresh_stats(self) -> RefreshStats:
-        """Cumulative compile/refresh counters (a value copy).
+        """Cumulative compile/refresh counters of the lineage (a value copy).
 
         Behaves as a plain dict (``stats["rows_refreshed"]`` etc.) and
         additionally offers :meth:`RefreshStats.reset` to zero the
-        incremental refresh counters on this plan.  Exported registries
+        lineage's incremental refresh counters.  Exported registries
         mirror these as the ``reghd_plan_*`` counters.
         """
-        return RefreshStats(self._refresh["stats"], self)
+        return RefreshStats(self._stats)
 
-    def predict(
-        self,
-        X: ArrayLike,
-        *,
-        tile_rows: int | None = None,
-        n_workers: int | None = None,
-    ) -> FloatArray:
+    def predict(self, X: ArrayLike) -> FloatArray:
         """Predict targets (original units) for raw feature rows.
 
         Equivalent to :meth:`MultiModelRegHD.predict
         <repro.core.multi.MultiModelRegHD.predict>` on the model state at
         compile time (bit-exact packed similarity scores; predictions
-        match to float rounding).  ``tile_rows``/``n_workers`` override
-        the compile-time execution knobs for this call only.
+        match to float rounding).  Runs in the compile-time ``tile_rows``
+        tiles on up to ``n_workers`` threads.
         """
         from repro.engine.executor import execute_plan
 
@@ -360,12 +343,7 @@ class CompiledPlan:
             raise EncodingError(
                 f"expected {self.in_features} features, got {X_arr.shape[1]}"
             )
-        return execute_plan(
-            self,
-            X_arr,
-            tile_rows=self.tile_rows if tile_rows is None else int(tile_rows),
-            n_workers=self.n_workers if n_workers is None else int(n_workers),
-        )
+        return execute_plan(self, X_arr)
 
     def __repr__(self) -> str:
         stages = []
@@ -438,7 +416,8 @@ def compile_model(
     model:
         A fitted multi-model RegHD instance.  The plan copies every
         operand it needs; the model can keep training afterwards without
-        affecting the plan (until an explicit :meth:`CompiledPlan.refresh`).
+        affecting the plan (:meth:`CompiledPlan.refresh` returns a new
+        plan that catches up).
     backend:
         Execution-runtime backend for the serving kernels (a registry
         name or instance): ``"dense"`` keeps every stage on float
@@ -451,8 +430,8 @@ def compile_model(
         Rows per execution tile.  ``None`` sizes tiles so one worker's
         scratch stays near 24 MiB (:func:`auto_tile_rows`).
     n_workers:
-        Default thread count for :meth:`CompiledPlan.predict`.  ``1``
-        runs the single-threaded fallback loop with one scratch set.
+        Thread count for :meth:`CompiledPlan.predict`.  ``1`` runs the
+        single-threaded fallback loop with one scratch set.
     rematerialize:
         Store the encoder's *seed provenance* instead of its projection
         matrix: :meth:`CompiledPlan.encoder_operands` then re-draws
@@ -521,10 +500,10 @@ def compile_model(
                     "model's constructor)"
                 )
         else:
-            enc_bases = _frozen(model.encoder.bases)
-            enc_phases = _frozen(model.encoder.phases)
+            enc_bases = frozen_copy(model.encoder.bases)
+            enc_phases = frozen_copy(model.encoder.phases)
             if fused_encode:
-                enc_sin_phases = _frozen(np.sin(model.encoder.phases))
+                enc_sin_phases = frozen_copy(np.sin(model.encoder.phases))
     else:
         if rematerialize:
             raise ConfigurationError(
@@ -538,12 +517,13 @@ def compile_model(
     elif tile_rows < 1:
         raise ConfigurationError(f"tile_rows must be >= 1, got {tile_rows}")
 
-    cluster_op, cluster_tracker = freeze_cluster_operand(
+    cluster_op, cluster_rows = freeze_cluster_operand(
         model.clusters, cfg.cluster_quant, packed=packed_sims
     )
-    model_op, model_tracker = freeze_model_operand(
+    model_op, model_rows = freeze_model_operand(
         model.models, cfg.predict_quant, packed=packed_dots
     )
+    rows_snapshotted = cluster_rows + model_rows
 
     plan = CompiledPlan(
         in_features=model.in_features,
@@ -568,13 +548,8 @@ def compile_model(
         enc_sin_phases=enc_sin_phases,
         enc_spec=enc_spec,
         fused_encode=fused_encode,
-    )
-    rows_snapshotted = 2 * cfg.n_models  # one cluster + one model row each
-    plan._refresh.update(
-        source=weakref.ref(model),
-        clusters=cluster_tracker,
-        models=model_tracker,
-        stats={
+        _source=weakref.ref(model),
+        _stats={
             "compiles": 1,
             "rows_snapshotted": rows_snapshotted,
             "refreshes": 0,

@@ -290,11 +290,6 @@ class ResilientStreamingRegHD(StreamingRegHD):
         learned state moves), keeping every external reference to
         ``self.model`` valid.
         """
-        # Restored weights make the serving plan stale; the restore below
-        # goes through DualCopy.replace → rebinarize, which advances the
-        # sign-version counters, so the next predict refreshes the plan's
-        # operands incrementally rather than recompiling it.
-        self._plan_stale = True
         # The state protocol applies learned arrays in place (DualCopy
         # .replace copies into the existing buffers), so scrubber shadows
         # and other references to self.model's arrays stay valid.
@@ -322,6 +317,10 @@ class ResilientStreamingRegHD(StreamingRegHD):
             self.guard.gate.set_state(gate_state)
         if self.scrubber is not None:
             self.scrubber.sync()
+        # The restore went through DualCopy.replace → rebinarize, which
+        # advanced the sign-version counters, so the refreshed plan
+        # re-packs only the operand rows whose sign pattern moved.
+        self.invalidate_plan()
         return self._batch_counter
 
     def _rollback(self, trigger_error: float = float("nan")) -> bool:

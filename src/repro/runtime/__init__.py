@@ -13,11 +13,11 @@ package is that single routing point:
   dense float or packed XOR+popcount execution per kernel, resolved via
   :func:`resolve_backend` from an explicit name, ``RegHDConfig.backend``,
   or ``REPRO_BACKEND``;
-* :class:`Query` / :class:`QueryCache` — query-side operands with lazy,
-  reusable derived representations (signs, packed words, scales);
+* :class:`Query` — query-side operands with lazy, reusable derived
+  representations (signs, packed words, scales);
 * :mod:`repro.runtime.operands` — model-side operands: live training
-  views over the dual copies, and frozen snapshots with per-row
-  incremental refresh for compiled serving plans;
+  views over the dual copies, and the frozen copy-on-write snapshots
+  compiled serving plans are built and refreshed from;
 * :mod:`repro.runtime.packing` — the bit-packing primitives themselves.
 
 The training hot loops (:mod:`repro.core`), the compiled inference engine
@@ -50,7 +50,7 @@ from repro.runtime.fused import (
     fused_block_cols,
     set_fused_block_cols,
 )
-from repro.runtime.query import Query, QueryCache
+from repro.runtime.query import Query
 from repro.runtime.operands import (
     ClusterOperand,
     FrozenClusterOperand,
@@ -59,8 +59,7 @@ from repro.runtime.operands import (
     PackedWordsCache,
     freeze_cluster_operand,
     freeze_model_operand,
-    refresh_cluster_operand,
-    refresh_model_operand,
+    frozen_copy,
 )
 from repro.runtime.base import (
     BACKEND_ENV_VAR,
@@ -94,7 +93,6 @@ __all__ = [
     "DualCopy",
     "binarize_preserving_scale",
     "Query",
-    "QueryCache",
     "ClusterOperand",
     "ModelOperand",
     "PackedWordsCache",
@@ -102,8 +100,7 @@ __all__ = [
     "FrozenModelOperand",
     "freeze_cluster_operand",
     "freeze_model_operand",
-    "refresh_cluster_operand",
-    "refresh_model_operand",
+    "frozen_copy",
     "kernels",
     "pack_bits",
     "pack_sign_words",

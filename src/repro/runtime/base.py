@@ -29,7 +29,7 @@ from repro.registry import backend_class
 from repro.runtime import kernels
 from repro.telemetry import metrics as _metrics
 from repro.runtime.operands import ClusterOperand, FrozenClusterOperand
-from repro.runtime.query import Query, QueryCache
+from repro.runtime.query import Query
 from repro.types import FloatArray
 
 #: environment variable consulted when no backend is pinned explicitly.
@@ -98,8 +98,8 @@ class KernelBackend:
         *,
         cluster_quant: ClusterQuant,
         predict_quant: PredictQuant,
-    ) -> QueryCache | None:
-        """Epoch-spanning query operand cache; None when nothing to reuse.
+    ) -> Query | None:
+        """Epoch-spanning training query; None when nothing to reuse.
 
         The dense path recomputes per batch (bit-identical to the
         historical inline arithmetic), so it returns None.

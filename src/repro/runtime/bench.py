@@ -10,7 +10,7 @@ pre-encoded data under both registered backends:
 
 * ``dense`` — the reference float kernels (sign matmuls);
 * ``packed_v2`` — bit-packed uint64 XOR + cache-blocked popcount
-  kernels, fed by the epoch-spanning :class:`~repro.runtime.QueryCache`
+  kernels, fed by the epoch-spanning training :class:`~repro.runtime.Query`
   the ``begin_training`` hook installs (its fused encode→pack pipeline
   is serve-only).
 
@@ -22,10 +22,9 @@ the ratio isolates kernel arithmetic.
 
 A second micro-benchmark measures the incremental serving-plan refresh
 used by the streaming stack: after compile, each small stream update
-marks the plan stale and the next predict refreshes it in place.  The
-emitted counters show how many operand rows were re-packed versus
-reused — the acceptance evidence that per-update refresh no longer
-re-packs unchanged rows.
+swaps in a refreshed plan.  The emitted counters show how many operand
+rows were re-packed versus reused — the acceptance evidence that
+per-update refresh does not re-pack unchanged rows.
 """
 
 from __future__ import annotations
@@ -108,10 +107,10 @@ def _refresh_microbench(
     """Incremental plan refresh counters over a short stream session.
 
     Compiles one plan, then alternates tiny ``update``/``predict`` calls;
-    every update marks the plan stale and the following predict refreshes
-    it in place.  Reports the plan's cumulative refresh statistics — rows
-    actually re-packed versus rows whose sign pattern (and therefore
-    packed words) survived unchanged.
+    every update swaps in a plan refreshed from the one before.  Reports
+    the lineage's cumulative refresh statistics — rows actually re-packed
+    versus rows whose sign pattern (and therefore packed words) survived
+    unchanged.
     """
     from repro.streaming import StreamingRegHD
 
@@ -132,7 +131,7 @@ def _refresh_microbench(
     for _ in range(updates):
         X = rng.normal(size=(16, features))
         stream.update(X, np.sin(X[:, 0]))
-        stream.predict(rng.normal(size=(8, features)))  # refreshes in place
+        stream.predict(rng.normal(size=(8, features)))  # serves the refresh
     stats = dict(stream._plan.refresh_stats)
     total = stats["rows_refreshed"] + stats["rows_reused"]
     return {

@@ -15,11 +15,12 @@ Two flavours exist:
 * **frozen operands** (:class:`FrozenClusterOperand`,
   :class:`FrozenModelOperand`) are the read-only snapshots a
   :class:`~repro.engine.CompiledPlan` serves from.
-  :func:`refresh_cluster_operand` / :func:`refresh_model_operand` update
-  a snapshot in place from its source ``DualCopy``, re-packing **only**
-  the rows whose sign version moved — the incremental refresh that lets
-  streaming serve from one long-lived plan instead of recompiling after
-  every online batch.
+  :func:`freeze_cluster_operand` / :func:`freeze_model_operand` are the
+  one snapshot path, for compiling and refreshing alike.  Refreshing
+  never writes the previous snapshot: the new one shares every array
+  whose source did not move and re-packs **only** the rows whose sign
+  version moved, so streaming serves from a cheap succession of plans
+  instead of recompiling after every online batch.
 """
 
 from __future__ import annotations
@@ -31,6 +32,22 @@ from repro.runtime.kernels import NORM_EPS
 from repro.runtime.packing import pack_sign_words
 from repro.telemetry import metrics as _metrics
 from repro.types import FloatArray
+
+
+def rederive_sign_rows(
+    out: np.ndarray, dual: DualCopy, rows: np.ndarray
+) -> None:
+    """Re-derive, in place, the ``rows`` of a sign-derived array of ``dual``.
+
+    ``out`` holds the sign pattern as packed ``uint64`` words ``(k, W)``
+    or as float ±1 signs transposed to ``(D, k)``; ``rows`` is a boolean
+    mask over the rows of ``dual``.
+    """
+    signs = dual.signs[rows]
+    if out.dtype == np.uint64:
+        out[rows] = pack_sign_words(signs)
+    else:
+        out[:, rows] = signs.T
 
 
 class PackedWordsCache:
@@ -58,7 +75,7 @@ class PackedWordsCache:
         changed = versions != self._seen
         n_changed = int(np.count_nonzero(changed))
         if n_changed:
-            self._words[changed] = pack_sign_words(self.dual.signs[changed])
+            rederive_sign_rows(self._words, self.dual, changed)
             self._seen[changed] = versions[changed]
         self._count(n_changed, len(versions) - n_changed)
         return self._words
@@ -145,50 +162,34 @@ class ModelOperand:
         return self._words_cache.words()
 
 
-# -- frozen snapshots + incremental refresh --------------------------------
+# -- frozen snapshots -------------------------------------------------------
 
 
-def _frozen_copy(values: np.ndarray) -> np.ndarray:
-    """Contiguous read-only copy decoupled from the live model."""
-    out = np.ascontiguousarray(values).copy()
+def frozen_copy(values: np.ndarray) -> np.ndarray:
+    """Contiguous read-only copy decoupled from its source."""
+    out = np.array(values, order="C")
     out.flags.writeable = False
     return out
 
 
-def _overwrite(dst: np.ndarray, values: np.ndarray) -> None:
-    """Write into a read-only snapshot array, restoring the lock after."""
-    dst.flags.writeable = True
-    try:
-        dst[...] = values
-    finally:
-        dst.flags.writeable = False
-
-
-def _overwrite_rows(dst: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
-    dst.flags.writeable = True
-    try:
-        dst[mask] = values
-    finally:
-        dst.flags.writeable = False
-
-
-def _overwrite_cols(dst: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
-    dst.flags.writeable = True
-    try:
-        dst[:, mask] = values
-    finally:
-        dst.flags.writeable = False
-
-
 class FrozenClusterOperand:
-    """Read-only cluster operands snapshotted into a compiled plan."""
+    """Read-only cluster operands snapshotted into a compiled plan.
 
-    __slots__ = ("quant", "dim", "matT", "norms", "signsT", "words")
+    ``version`` / ``sign_versions`` record the :class:`DualCopy` state the
+    arrays were taken from, so the next snapshot knows which it may share.
+    """
+
+    __slots__ = (
+        "quant", "dim", "version", "sign_versions",
+        "matT", "norms", "signsT", "words",
+    )
 
     def __init__(
         self,
         quant: ClusterQuant,
         dim: int,
+        version: int,
+        sign_versions: np.ndarray,
         *,
         matT: np.ndarray | None = None,
         norms: np.ndarray | None = None,
@@ -197,6 +198,8 @@ class FrozenClusterOperand:
     ):
         self.quant = quant
         self.dim = dim
+        self.version = version
+        self.sign_versions = sign_versions
         self.matT = matT
         self.norms = norms
         self.signsT = signsT
@@ -211,14 +214,21 @@ class FrozenClusterOperand:
 
 
 class FrozenModelOperand:
-    """Read-only model operands snapshotted into a compiled plan."""
+    """Read-only model operands snapshotted into a compiled plan.
 
-    __slots__ = ("quant", "dim", "matT", "words", "scales")
+    Records its source versions as :class:`FrozenClusterOperand` does.
+    """
+
+    __slots__ = (
+        "quant", "dim", "version", "sign_versions", "matT", "words", "scales",
+    )
 
     def __init__(
         self,
         quant: PredictQuant,
         dim: int,
+        version: int,
+        sign_versions: np.ndarray,
         *,
         matT: np.ndarray | None = None,
         words: np.ndarray | None = None,
@@ -226,6 +236,8 @@ class FrozenModelOperand:
     ):
         self.quant = quant
         self.dim = dim
+        self.version = version
+        self.sign_versions = sign_versions
         self.matT = matT
         self.words = words
         self.scales = scales
@@ -237,142 +249,111 @@ class FrozenModelOperand:
         )
 
 
-def freeze_cluster_operand(
-    dual: DualCopy, quant: ClusterQuant, *, packed: bool
-) -> tuple[FrozenClusterOperand, dict]:
-    """Snapshot cluster operands and return them with a refresh tracker."""
-    dim = dual.shape[1]
-    if quant is ClusterQuant.NONE:
-        op = FrozenClusterOperand(
-            quant,
-            dim,
-            matT=_frozen_copy(dual.integer.T),
-            norms=_frozen_copy(cluster_norms(dual)),
-        )
-    elif packed:
-        op = FrozenClusterOperand(
-            quant, dim, words=_frozen_copy(pack_sign_words(dual.signs))
-        )
+def _moved(dual: DualCopy, previous) -> tuple[bool, np.ndarray, np.ndarray]:
+    """``dual`` against the snapshot ``previous`` was taken from.
+
+    Returns whether ``dual.version`` moved, the mask of rows whose sign
+    pattern moved (every row when there is no ``previous``), and the
+    ``sign_versions`` the new snapshot records (``previous``'s own when
+    no row moved).
+    """
+    if previous is None:
+        rows = np.ones(dual.shape[0], dtype=bool)
+        return True, rows, frozen_copy(dual.sign_versions)
+    rows = dual.sign_versions != previous.sign_versions
+    if rows.any():
+        sign_versions = frozen_copy(dual.sign_versions)
     else:
-        op = FrozenClusterOperand(
-            quant, dim, signsT=_frozen_copy(dual.signs.T)
-        )
-    tracker = {
-        "version": dual.version,
-        "sign_versions": dual.sign_versions.copy(),
-    }
-    return op, tracker
+        sign_versions = previous.sign_versions
+    return previous.version != dual.version, rows, sign_versions
+
+
+def _whole(previous, name: str, moved: bool, values) -> np.ndarray:
+    """A full-precision array: ``values()`` copied whole when the version
+    moved, else ``previous``'s array shared."""
+    return frozen_copy(values()) if moved else getattr(previous, name)
+
+
+def _signed(previous, name: str, dual: DualCopy, rows, fresh) -> np.ndarray:
+    """A sign-derived array: ``fresh()`` at compile time, else a copy of
+    ``previous``'s array with only the moved ``rows`` re-derived (shared
+    outright when no row moved)."""
+    if previous is None:
+        return frozen_copy(fresh())
+    out = getattr(previous, name)
+    if rows.any():
+        out = out.copy()
+        rederive_sign_rows(out, dual, rows)
+        out.flags.writeable = False
+    return out
+
+
+def freeze_cluster_operand(
+    dual: DualCopy,
+    quant: ClusterQuant,
+    *,
+    packed: bool,
+    previous: FrozenClusterOperand | None = None,
+) -> tuple[FrozenClusterOperand, int]:
+    """Snapshot cluster operands; returns ``(operand, rows_taken)``.
+
+    ``previous`` is the snapshot being refreshed, left untouched: arrays
+    whose source did not move are shared with it, sign-derived arrays
+    re-derive only the rows whose sign version moved, and full-precision
+    arrays are copied whole when ``dual.version`` moved.  ``rows_taken``
+    counts the rows re-derived from ``dual`` (all of them at compile
+    time).
+    """
+    k, dim = dual.shape
+    moved, rows, sign_versions = _moved(dual, previous)
+    if quant is ClusterQuant.NONE:
+        arrays = {
+            "matT": _whole(previous, "matT", moved, lambda: dual.integer.T),
+            "norms": _whole(
+                previous, "norms", moved, lambda: cluster_norms(dual)
+            ),
+        }
+        taken = k if moved else 0
+    else:
+        if packed:
+            name, fresh = "words", lambda: pack_sign_words(dual.signs)
+        else:
+            name, fresh = "signsT", lambda: dual.signs.T
+        arrays = {name: _signed(previous, name, dual, rows, fresh)}
+        taken = int(np.count_nonzero(rows))
+    op = FrozenClusterOperand(quant, dim, dual.version, sign_versions, **arrays)
+    return op, taken
 
 
 def freeze_model_operand(
-    dual: DualCopy, quant: PredictQuant, *, packed: bool
-) -> tuple[FrozenModelOperand, dict]:
-    """Snapshot model operands and return them with a refresh tracker."""
-    dim = dual.shape[1]
+    dual: DualCopy,
+    quant: PredictQuant,
+    *,
+    packed: bool,
+    previous: FrozenModelOperand | None = None,
+) -> tuple[FrozenModelOperand, int]:
+    """Snapshot model operands; returns ``(operand, rows_taken)``.
+
+    Shares and re-derives exactly as :func:`freeze_cluster_operand`.
+    Packed operands count only re-packed word rows: their per-row scales
+    are cheap ``(k,)`` floats that move under pure magnitude decay, so
+    the common streaming case of forgetting-decay plus small updates
+    re-packs nothing.
+    """
+    k, dim = dual.shape
+    moved, rows, sign_versions = _moved(dual, previous)
     if packed:
-        op = FrozenModelOperand(
-            quant,
-            dim,
-            words=_frozen_copy(pack_sign_words(dual.signs)),
-            scales=_frozen_copy(dual.scales),
-        )
+        arrays = {
+            "words": _signed(
+                previous, "words", dual, rows,
+                lambda: pack_sign_words(dual.signs),
+            ),
+            "scales": _whole(previous, "scales", moved, lambda: dual.scales),
+        }
+        taken = int(np.count_nonzero(rows))
     else:
         base = dual.binary if quant.model_is_binary else dual.integer
-        op = FrozenModelOperand(quant, dim, matT=_frozen_copy(base.T))
-    tracker = {
-        "version": dual.version,
-        "sign_versions": dual.sign_versions.copy(),
-    }
-    return op, tracker
-
-
-def refresh_cluster_operand(
-    op: FrozenClusterOperand,
-    dual: DualCopy,
-    tracker: dict,
-    rows: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """Bring a snapshot up to date; returns ``(rows_refreshed, rows_reused)``.
-
-    Integer-derived operands (the full-precision path) key on the scalar
-    ``DualCopy.version``; sign-derived operands diff per-row
-    ``sign_versions`` so unchanged rows are neither re-packed nor copied.
-
-    ``rows`` is an optional boolean mask of rows known to have moved
-    (e.g. :meth:`repro.core.delta.ModelDelta.touched_rows` after an
-    ``apply_delta``): the full-precision path then re-copies only those
-    rows instead of the whole matrix.  The caller asserts the mask is
-    complete — rows outside it are served stale if they did change.
-    """
-    k = dual.shape[0]
-    if op.quant is ClusterQuant.NONE:
-        if tracker["version"] == dual.version:
-            return 0, k
-        if rows is not None:
-            n_rows = int(np.count_nonzero(rows))
-            if n_rows:
-                _overwrite_cols(op.matT, rows, dual.integer[rows].T)
-                _overwrite_rows(
-                    op.norms,
-                    rows,
-                    np.maximum(
-                        np.linalg.norm(dual.integer[rows], axis=1), NORM_EPS
-                    ),
-                )
-            tracker["version"] = dual.version
-            return n_rows, k - n_rows
-        _overwrite(op.matT, dual.integer.T)
-        _overwrite(op.norms, cluster_norms(dual))
-        tracker["version"] = dual.version
-        return k, 0
-    changed = dual.sign_versions != tracker["sign_versions"]
-    n_changed = int(np.count_nonzero(changed))
-    if n_changed:
-        if op.words is not None:
-            _overwrite_rows(op.words, changed, pack_sign_words(dual.signs[changed]))
-        else:
-            _overwrite_cols(op.signsT, changed, dual.signs[changed].T)
-        tracker["sign_versions"][changed] = dual.sign_versions[changed]
-    return n_changed, k - n_changed
-
-
-def refresh_model_operand(
-    op: FrozenModelOperand,
-    dual: DualCopy,
-    tracker: dict,
-    rows: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """Bring a snapshot up to date; returns ``(rows_refreshed, rows_reused)``.
-
-    For packed operands the per-row scales refresh on any version bump
-    (they are cheap, ``(k,)`` floats, and move under pure magnitude decay)
-    while the words re-pack only where the sign pattern changed — the
-    common streaming case of forgetting-decay plus small updates re-packs
-    nothing.
-
-    ``rows`` narrows the full-precision path to a known-moved row mask,
-    exactly as in :func:`refresh_cluster_operand`.
-    """
-    k = dual.shape[0]
-    if op.words is not None:
-        changed = dual.sign_versions != tracker["sign_versions"]
-        n_changed = int(np.count_nonzero(changed))
-        if n_changed:
-            _overwrite_rows(op.words, changed, pack_sign_words(dual.signs[changed]))
-            tracker["sign_versions"][changed] = dual.sign_versions[changed]
-        if tracker["version"] != dual.version:
-            _overwrite(op.scales, dual.scales)
-            tracker["version"] = dual.version
-        return n_changed, k - n_changed
-    if tracker["version"] == dual.version:
-        return 0, k
-    base = dual.binary if op.quant.model_is_binary else dual.integer
-    if rows is not None:
-        n_rows = int(np.count_nonzero(rows))
-        if n_rows:
-            _overwrite_cols(op.matT, rows, base[rows].T)
-        tracker["version"] = dual.version
-        return n_rows, k - n_rows
-    _overwrite(op.matT, base.T)
-    tracker["version"] = dual.version
-    return k, 0
+        arrays = {"matT": _whole(previous, "matT", moved, lambda: base.T)}
+        taken = k if moved else 0
+    op = FrozenModelOperand(quant, dim, dual.version, sign_versions, **arrays)
+    return op, taken

@@ -21,10 +21,13 @@ extends with the fused encode→pack serving hook.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.runtime.quantization import ClusterQuant, PredictQuant
 from repro.runtime import kernels
 from repro.runtime.base import KernelBackend
-from repro.runtime.query import QueryCache
+from repro.runtime.packing import pack_sign_words
+from repro.runtime.query import Query
 from repro.types import FloatArray
 
 
@@ -43,12 +46,16 @@ class PackedBackend(KernelBackend):
         *,
         cluster_quant: ClusterQuant,
         predict_quant: PredictQuant,
-    ) -> QueryCache | None:
+    ) -> Query | None:
         """Pack the training matrix once when any packed kernel will run."""
         if self.packs_similarities(cluster_quant) or self.packs_dots(
             predict_quant
         ):
-            return QueryCache(S)
+            return Query(
+                S,
+                words=pack_sign_words(S),
+                scales=np.mean(np.abs(S), axis=1),
+            )
         return None
 
     def cluster_similarities(self, query, clusters) -> FloatArray:

@@ -7,10 +7,11 @@ the scale-preserving binarised matrix.  Derivations are lazy and cached,
 so a dense backend that only reads ``S`` never pays for packing, while
 the packed backend computes words exactly once per batch.
 
-:class:`QueryCache` extends that reuse across a whole training run: the
-trainer presents the same encoded matrix ``S`` every epoch, so its packed
-words and scales are computed once up front and epoch batches are served
-as row slices of the cached arrays.
+The same reuse spans a whole training run: the trainer presents the same
+encoded matrix ``S`` every epoch, so
+:meth:`~repro.runtime.KernelBackend.make_training_cache` derives its
+packed words and scales once up front, and epoch batches are served as
+:meth:`Query.slice` row slices of that one query.
 """
 
 from __future__ import annotations
@@ -127,26 +128,3 @@ class Query:
             binarized=pick(self._binarized),
         )
 
-
-class QueryCache:
-    """Epoch-spanning cache of packed query operands for one training set.
-
-    Built by :meth:`KernelBackend.make_training_cache` when a packed
-    kernel will run during training.  The full training matrix is packed
-    once; every epoch batch is then served as a slice, so the per-epoch
-    packing cost drops to zero after the first epoch.
-    """
-
-    def __init__(self, S: FloatArray):
-        self.S = S
-        self._words = pack_sign_words(S)
-        self._scales = np.mean(np.abs(S), axis=1)
-
-    def query(self) -> Query:
-        """A :class:`Query` over the full cached training matrix."""
-        return Query(self.S, words=self._words, scales=self._scales)
-
-    def slice(self, idx: np.ndarray) -> Query:
-        """A :class:`Query` for the batch ``S[idx]`` with cached operands
-        (the rows of ``S`` plus their packed words and scales)."""
-        return self.query().slice(idx)

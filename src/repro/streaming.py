@@ -292,12 +292,11 @@ class StreamingRegHD:
         self.history = StreamHistory(max_history)
         self.conformal = conformal
         self._batch_counter = 0
-        # Long-lived compiled serving plan plus a staleness flag.  Model
-        # changes mark the plan stale; the next predict refreshes it
-        # incrementally (only sign-changed rows re-pack) instead of
-        # recompiling from scratch.
+        # The compiled serving plan, compiled by the first predict.  Every
+        # model change replaces it, in one assignment, with a refreshed
+        # plan (only sign-changed rows re-pack), so a reader always holds
+        # a whole plan of one model state.
         self._plan = None
-        self._plan_stale = False
 
     @property
     def fitted(self) -> bool:
@@ -310,21 +309,21 @@ class StreamingRegHD:
         Pure-inference traffic between stream updates runs on a
         :class:`~repro.engine.CompiledPlan` — quantised configurations
         execute as packed XOR + popcount — compiled lazily on the first
-        predict after a batch is absorbed.  The plan is long-lived: after
-        further stream updates it is *refreshed* in place
-        (:meth:`~repro.engine.CompiledPlan.refresh` re-packs only the
-        operand rows whose sign pattern moved) rather than recompiled.
+        predict after a batch is absorbed.  After that, predict only
+        reads the current plan: each model change swaps in a refreshed
+        plan (:meth:`~repro.engine.CompiledPlan.refresh` re-packs only
+        the operand rows whose sign pattern moved), so concurrent
+        readers never see a plan mixing two model states.  The first
+        compile reads the live model, so make the first predict before
+        other threads read while the stream learns.
         """
         if not self.fitted:
             # Defer to the model for the canonical NotFittedError.
             return self.model.predict(X)
-        if self._plan is None:
-            self._plan = self.model.compile()
-            self._plan_stale = False
-        elif self._plan_stale:
-            self._plan.refresh(self.model)
-            self._plan_stale = False
-        return self._plan.predict(X)
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self.model.compile()
+        return plan.predict(X)
 
     def predict_interval(self, X: ArrayLike) -> PredictionInterval:
         """Predict with conformal bands from the streaming calibrator.
@@ -341,28 +340,27 @@ class StreamingRegHD:
         return self.conformal.interval(self.predict(X))
 
     def invalidate_plan(self) -> None:
-        """Mark the compiled serving plan stale after an out-of-band model
-        mutation (injected memory faults, manual state surgery); the next
-        predict refreshes the sign-changed operand rows."""
-        self._plan_stale = True
+        """Swap in a refreshed serving plan after a model change.
+
+        Stream updates call this themselves; call it after an
+        out-of-band model mutation (injected memory faults, manual state
+        surgery).  Only the operand rows whose sign pattern moved are
+        re-packed, and readers holding the old plan keep a consistent
+        one.  Before the first predict there is no plan to refresh.
+        """
+        if self._plan is not None:
+            self._plan = self._plan.refresh(self.model)
 
     def absorb_delta(self, delta) -> None:
         """Fold a merged shard delta into the live model between batches.
 
         The distributed coordinator's entry point: applies the
         (usually merged) :class:`~repro.core.delta.ModelDelta` through
-        the model's delta protocol, then refreshes the long-lived
-        serving plan *with the delta's row hint* — only the operand
-        rows the delta actually touched are re-copied/re-packed, so a
-        shard round that moved two cluster centres costs a two-row
-        refresh, not a recompile.
+        the model's delta protocol, then swaps in a refreshed serving
+        plan — a shard round costs a refresh, not a recompile.
         """
         self.model.apply_delta(delta)
-        if self._plan is not None:
-            self._plan.refresh(self.model, delta=delta)
-            self._plan_stale = False
-        else:
-            self._plan_stale = True
+        self.invalidate_plan()
         registry = _metrics.active()
         if registry is not None:
             # Samples were already counted shard-side by the trainer's
@@ -415,7 +413,7 @@ class StreamingRegHD:
                     self.model.models.rebinarize()
             with span("train"):
                 self.model.partial_fit(X_arr, y_arr, encoded=query)
-        self._plan_stale = True  # model changed; next predict refreshes
+        self.invalidate_plan()
 
         report = StreamBatchReport(
             batch=self._batch_counter,

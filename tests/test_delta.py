@@ -194,17 +194,6 @@ def test_merge_refuses_incompatible_deltas():
         merge_deltas([])
 
 
-def test_touched_rows_masks():
-    d = _make_delta(7, 10)
-    d.arrays["clusters_integer"][1] = 0.0
-    mask = d.touched_rows("clusters_integer")
-    assert mask.tolist() == [True, False, True]
-    one_d = ModelDelta("single", {}, arrays={"v": np.zeros(4)})
-    assert one_d.touched_rows("v").tolist() == [False]
-    one_d.arrays["v"][2] = 1.0
-    assert one_d.touched_rows("v").tolist() == [True]
-
-
 def test_scaled_rescales_updates_but_not_evidence():
     d = _make_delta(8, 10)
     half = d.scaled(0.5)

@@ -8,14 +8,20 @@ The load-bearing guarantees:
   produce identical bits for any shard count;
 * the reduction is ordered by shard id, so merge bits cannot depend on
   worker scheduling;
-* ``absorb_delta`` refreshes the long-lived serving plan with the
-  delta's row hint — only delta-touched rows re-copy.
+* ``absorb_delta`` swaps in a refreshed serving plan that re-packs no
+  operand row the merge left untouched.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import MultiModelRegHD, RegHDConfig, SingleModelRegHD
+from repro.core import (
+    ClusterQuant,
+    MultiModelRegHD,
+    PredictQuant,
+    RegHDConfig,
+    SingleModelRegHD,
+)
 from repro.distributed import (
     DeltaCoordinator,
     ShardTrainer,
@@ -235,36 +241,52 @@ def test_coordinator_validates_checkpoint_configuration():
         DeltaCoordinator(stream, n_shards=2, checkpoint_every=1)
 
 
-# -- delta-hinted plan refresh -----------------------------------------------
+# -- plan refresh on absorb --------------------------------------------------
 
 
 def test_absorb_delta_refreshes_only_touched_rows():
     X, y = _data(n=200, features=5)
-    stream = StreamingRegHD(5, RegHDConfig(dim=256, n_models=8, seed=0))
+    stream = StreamingRegHD(
+        5,
+        RegHDConfig(
+            dim=256,
+            n_models=8,
+            seed=0,
+            cluster_quant=ClusterQuant.FRAMEWORK,
+            predict_quant=PredictQuant.BINARY_BOTH,
+            backend="packed_v2",
+        ),
+    )
     trainer = ShardTrainer(stream.model, n_shards=2, batch_rows=25)
 
     # Round 1 trains broadly; predicting afterwards compiles the plan.
     stream.absorb_delta(trainer.reduce(trainer.map(X, y)))
     stream.predict(X[:4])
-    before = dict(stream._plan.refresh_stats)
+    old = stream._plan
+    before = dict(old.refresh_stats)
 
     # A 2-row super-batch touches at most 2 of the 8 cluster centres
     # (each sample moves only its own cluster); the model hypervectors
     # all move (the LMS step is confidence-weighted across models).
-    # The delta-hinted refresh must re-copy exactly the touched rows.
-    X2, y2 = X[:2], y[:2]
-    merged = trainer.reduce(trainer.map(X2, y2))
-    c_touched = int(merged.touched_rows("clusters_integer").sum())
-    m_touched = int(merged.touched_rows("models_integer").sum())
-    assert 0 < c_touched <= 2
-    touched = c_touched + m_touched
-    assert touched < 16  # strictly fewer than the 16 operand rows
+    merged = trainer.reduce(trainer.map(X[:2], y[:2]))
+    touched = np.any(merged.arrays["clusters_integer"] != 0.0, axis=1)
+    assert 0 < touched.sum() <= 2
     stream.absorb_delta(merged)
 
-    after = dict(stream._plan.refresh_stats)
+    # absorb_delta swapped in a refreshed plan that re-packed no
+    # untouched centre: their words carry over and their rows count as
+    # reused.
+    new = stream._plan
+    assert new is not old
+    after = dict(new.refresh_stats)
     assert after["refreshes"] == before["refreshes"] + 1
-    assert after["rows_refreshed"] - before["rows_refreshed"] == touched
-    assert after["rows_reused"] - before["rows_reused"] == 16 - touched
+    refreshed = after["rows_refreshed"] - before["rows_refreshed"]
+    reused = after["rows_reused"] - before["rows_reused"]
+    assert refreshed + reused == 16
+    assert reused >= 8 - touched.sum()
+    np.testing.assert_array_equal(
+        new.cluster_op.words[~touched], old.cluster_op.words[~touched]
+    )
 
     # And the refreshed plan serves the post-merge model's predictions.
     np.testing.assert_allclose(
@@ -272,13 +294,14 @@ def test_absorb_delta_refreshes_only_touched_rows():
     )
 
 
-def test_absorb_delta_without_plan_marks_stale_only():
+def test_absorb_delta_without_plan_compiles_nothing():
     X, y = _data(n=60)
     stream = StreamingRegHD(5, RegHDConfig(dim=128, n_models=2, seed=0))
     trainer = ShardTrainer(stream.model, n_shards=2)
     stream.absorb_delta(trainer.reduce(trainer.map(X, y)))
-    assert stream._plan is None and stream._plan_stale
+    assert stream._plan is None
     assert np.all(np.isfinite(stream.predict(X[:3])))
+    assert stream._plan is not None
 
 
 # -- telemetry ---------------------------------------------------------------

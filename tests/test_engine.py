@@ -74,10 +74,12 @@ class TestCompile:
 
     def test_knob_validation(self):
         model = _fitted()
-        with pytest.raises(ConfigurationError):
-            model.compile(tile_rows=0)
-        with pytest.raises(ConfigurationError):
-            model.compile(n_workers=0)
+        for tile_rows in (0, -3):
+            with pytest.raises(ConfigurationError):
+                model.compile(tile_rows=tile_rows)
+        for n_workers in (0, -2):
+            with pytest.raises(ConfigurationError):
+                model.compile(n_workers=n_workers)
 
     @pytest.mark.usefixtures("auto_backend")
     def test_auto_packing_follows_quantisation(self):
@@ -136,19 +138,21 @@ class TestPredict:
         differ by an ulp between tile heights — hence allclose, not
         array_equal (threading with a fixed tile size IS bit-exact).
         """
-        plan = _fitted().compile()
+        model = _fitted()
         X, _ = _task(seed=2, n=101)
-        whole = plan.predict(X, tile_rows=101)
+        whole = model.compile(tile_rows=101).predict(X)
         for tile_rows in (1, 7, 32, 100, 500):
             np.testing.assert_allclose(
-                plan.predict(X, tile_rows=tile_rows), whole, rtol=1e-12
+                model.compile(tile_rows=tile_rows).predict(X),
+                whole,
+                rtol=1e-12,
             )
 
     def test_threading_is_invisible(self):
-        plan = _fitted().compile()
+        model = _fitted()
         X, _ = _task(seed=4, n=90)
-        single = plan.predict(X, tile_rows=16, n_workers=1)
-        threaded = plan.predict(X, tile_rows=16, n_workers=4)
+        single = model.compile(tile_rows=16, n_workers=1).predict(X)
+        threaded = model.compile(tile_rows=16, n_workers=4).predict(X)
         np.testing.assert_array_equal(single, threaded)
 
     def test_empty_batch(self):
@@ -240,25 +244,132 @@ class TestConcurrentCallers:
         assert mismatched == [[], [], [], []]
 
 
+class TestConcurrentStreamReaders:
+    @pytest.mark.parametrize(
+        "cq,pq",
+        [
+            (ClusterQuant.FRAMEWORK, PredictQuant.BINARY_BOTH),
+            (ClusterQuant.NONE, PredictQuant.FULL),
+        ],
+        ids=["framework-binary_both", "none-full"],
+    )
+    def test_readers_see_only_committed_model_states(self, cq, pq):
+        """Three threads predict through the stream while a writer streams
+        updates into it.  Every reader output bit-equals the output of a
+        plan compiled from some committed model state: a reader never
+        sees a plan torn between two updates."""
+        n_updates, rows = 60, 16
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=((n_updates + 2) * rows, 5))
+        y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2]
+        P = rng.normal(size=(8, 5))
+        stream = StreamingRegHD(
+            5,
+            RegHDConfig(
+                dim=256, n_models=4, seed=0, cluster_quant=cq, predict_quant=pq
+            ),
+        )
+        stream.update(X[: 2 * rows], y[: 2 * rows])
+        stream.predict(P)  # compiles the serving plan
+        committed = {stream.model.compile().predict(P).tobytes()}
+        done = threading.Event()
+        start = threading.Barrier(4, timeout=30)
+
+        def reader() -> list[bytes]:
+            start.wait()
+            seen = []
+            while not done.is_set():
+                seen.append(stream.predict(P).tobytes())
+            return seen
+
+        def writer() -> None:
+            start.wait()
+            try:
+                for i in range(2, n_updates + 2):
+                    lo = i * rows
+                    stream.update(X[lo : lo + rows], y[lo : lo + rows])
+                    committed.add(stream.model.compile().predict(P).tobytes())
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                readers = [pool.submit(reader) for _ in range(3)]
+                pool.submit(writer).result(timeout=120)
+                outputs = [out for r in readers for out in r.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(committed) > n_updates // 2  # the model kept moving
+        torn = sum(out not in committed for out in outputs)
+        assert torn == 0, f"{torn} of {len(outputs)} reader outputs torn"
+
+
 class TestPlanRefresh:
     def test_refresh_tracks_further_training(self):
         model = _fitted()
         plan = model.compile()
         X, y = _task(seed=3)
         model.partial_fit(X, y)
-        plan.refresh(model)
+        plan = plan.refresh(model)
         np.testing.assert_allclose(
             plan.predict(X), model.predict(X), rtol=1e-9, atol=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "cq,pq",
+        [
+            (ClusterQuant.FRAMEWORK, PredictQuant.BINARY_BOTH),
+            (ClusterQuant.NONE, PredictQuant.FULL),
+        ],
+        ids=["binary", "full"],
+    )
+    @pytest.mark.parametrize("backend", ["packed_v2", "dense"])
+    def test_refresh_returns_new_plan_and_leaves_old_one(
+        self, cq, pq, backend
+    ):
+        """A refresh is a new value: the old plan still serves the model
+        as compiled, the new one serves the trained model."""
+        model = _fitted(cq, pq)
+        old = model.compile(backend=backend)
+        X, y = _task(seed=3)
+        before = old.predict(X)
+        model.partial_fit(X, y)
+        new = old.refresh(model)
+        assert new is not old
+        np.testing.assert_array_equal(old.predict(X), before)
+        np.testing.assert_allclose(
+            new.predict(X), model.predict(X), rtol=1e-9, atol=1e-10
+        )
+        assert old.refresh_stats == new.refresh_stats  # one lineage
+
+    @pytest.mark.parametrize(
+        "cq,pq",
+        [
+            (ClusterQuant.FRAMEWORK, PredictQuant.BINARY_BOTH),
+            (ClusterQuant.FRAMEWORK, PredictQuant.BINARY_QUERY),
+            (ClusterQuant.NONE, PredictQuant.FULL),
+        ],
+        ids=["binary", "binary-query", "full"],
+    )
+    @pytest.mark.parametrize("backend", ["packed_v2", "dense"])
+    def test_refresh_without_change_shares_every_array(self, cq, pq, backend):
+        model = _fitted(cq, pq)
+        plan = model.compile(backend=backend)
+        same = plan.refresh(model)
+        old_arrays = plan.cluster_op.arrays + plan.model_op.arrays
+        new_arrays = same.cluster_op.arrays + same.model_op.arrays
+        assert len(old_arrays) == len(new_arrays) > 0
+        assert all(a is b for a, b in zip(old_arrays, new_arrays))
+
     def test_refresh_without_change_touches_nothing(self):
         model = _fitted()
         plan = model.compile()
-        refreshed, reused = plan.refresh(model)
-        assert refreshed == 0 and reused > 0
+        plan.refresh(model)
         stats = plan.refresh_stats
         assert stats["refreshes"] == 1
-        assert stats["rows_refreshed"] == 0
+        assert stats["rows_refreshed"] == 0 and stats["rows_reused"] > 0
 
     @pytest.mark.usefixtures("auto_backend")
     def test_decay_only_update_repacks_no_model_words(self):
@@ -268,15 +379,16 @@ class TestPlanRefresh:
         before = plan.refresh_stats
         model.models.update_all(-0.5 * model.models.integer)
         model.models.rebinarize()
-        plan.refresh(model)
-        after = plan.refresh_stats
-        # model words: sign patterns unchanged => zero rows re-packed;
-        # cluster operands untouched entirely.
+        new = plan.refresh(model)
+        after = new.refresh_stats
+        # model words: sign patterns unchanged => zero rows re-packed and
+        # the words shared; cluster operands untouched entirely.
         assert after["rows_refreshed"] == before["rows_refreshed"]
-        # the decayed scales still reach the plan
-        np.testing.assert_allclose(
-            plan.model_op.scales, model.models.scales
-        )
+        assert new.model_op.words is plan.model_op.words
+        assert new.cluster_op.words is plan.cluster_op.words
+        # the decayed scales still reach the new plan, not the old one
+        np.testing.assert_allclose(new.model_op.scales, model.models.scales)
+        assert not np.allclose(plan.model_op.scales, model.models.scales)
 
     def test_refresh_rejects_foreign_model(self):
         plan = _fitted().compile()
@@ -311,17 +423,19 @@ class TestServingIntegration:
         )
         plan_before = stream._plan
         stream.update(X[48:], y[48:])
-        assert stream._plan_stale  # marked stale, not discarded
+        # the update swapped in a refreshed plan and left the old one as
+        # it was
+        refreshed = stream._plan
+        assert refreshed is not plan_before
+        assert refreshed.refresh_stats["refreshes"] == 1
+        np.testing.assert_array_equal(plan_before.predict(X[48:]), first)
         second = stream.predict(X[:48])
-        # the plan object persists; its operands were refreshed in place
-        assert stream._plan is plan_before
-        assert not stream._plan_stale
-        assert stream._plan.refresh_stats["refreshes"] >= 1
+        assert stream._plan is refreshed  # predict only reads the plan
         np.testing.assert_allclose(
             second, stream.model.predict(X[:48]), rtol=1e-9, atol=1e-10
         )
 
-    def test_resilient_restore_marks_plan_stale(self, tmp_path):
+    def test_resilient_restore_refreshes_plan(self, tmp_path):
         X, y = _task(n=128)
         stream = ResilientStreamingRegHD(
             5,
@@ -333,9 +447,10 @@ class TestServingIntegration:
         stream.predict(X[64:])
         assert stream._plan is not None
         stream.update(X[64:], y[64:])
-        stream.predict(X[:64])
+        served = stream._plan
         assert stream._rollback()  # restores the checkpointed weights
-        assert stream._plan is not None and stream._plan_stale
+        assert stream._plan is not served
+        assert stream._plan.refresh_stats["refreshes"] == 2
         np.testing.assert_allclose(
             stream.predict(X[:64]),
             stream.model.predict(X[:64]),

@@ -179,6 +179,22 @@ def test_no_eq1_encode_in_engine_or_runtime():
     )
 
 
+def test_no_frozen_state_mutation_in_engine_or_runtime():
+    """Compiled plans and their operands are values: a refresh builds a
+    new plan through the snapshot path and never writes the old one.
+    Switching a read-only array back to writeable, or writing a field of
+    a frozen dataclass, in the engine or the runtime breaks that."""
+    serving = set(ENGINE_DIR.rglob("*.py")) | _runtime_sources()
+    hits = _offending_lines(
+        r"writeable\s*=\s*True|object\.__setattr__",
+        exclude=set(_python_sources()) - serving,
+    )
+    assert not hits, (
+        "in-place write to frozen state in repro/engine or repro/runtime "
+        "— build a new snapshot instead:\n" + "\n".join(hits)
+    )
+
+
 def test_no_ad_hoc_timing_outside_telemetry():
     """Wall-clock reads go through ``repro.telemetry.timing.monotonic`` —
     one sanctioned site keeps every duration a span/histogram can capture

@@ -597,7 +597,7 @@ class TestTrainingAndCacheMetrics:
         self, tiny_regression, backend
     ):
         """A stream update trains on its prequential query: that reuse is
-        counted as ``cache="encoded"``, never as a ``QueryCache`` hit."""
+        counted as ``cache="encoded"``, never as a ``cache="query"`` hit."""
         X_train, y_train, _, _ = tiny_regression
         reg = telemetry.enable()
         stream = StreamingRegHD(
@@ -644,8 +644,8 @@ class TestServingMetrics:
             X_train.shape[1], RegHDConfig(dim=128, n_models=2, seed=0)
         )
         model.partial_fit(X_train, y_train)
-        plan = model.compile()
-        plan.predict(X_test, tile_rows=16, n_workers=4)
+        plan = model.compile(tile_rows=16, n_workers=4)
+        plan.predict(X_test)
         n_tiles = -(-len(X_test) // 16)
         _, _, n = reg.histogram(
             "reghd_serving_latency_seconds", stage="encode"
