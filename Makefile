@@ -19,7 +19,7 @@ bench-test:
 	env -u REPRO_BACKEND PYTHONPATH=src $(PYTHON) -m pytest bench/tests -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(FROM_SRC) $(PYTHON) -m pytest benchmarks/
 
 # Run every example end to end (a few minutes total).
 examples:
@@ -28,7 +28,7 @@ examples:
 # Regenerate everything EXPERIMENTS.md quotes and capture the logs.
 reproduce:
 	$(FROM_SRC) $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(FROM_SRC) $(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	$(FROM_SRC) $(PYTHON) -m pytest benchmarks/ 2>&1 | tee bench_output.txt
 	@echo "benchmark tables written under benchmarks/results/"
 
 clean:

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import pathlib
 
+import numpy as np
+
 from repro.core import ConvergencePolicy, RegHDConfig
 from repro.datasets import load_dataset, train_test_split
 from repro.datasets.preprocessing import StandardScaler
+from repro.telemetry.timing import monotonic
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -60,3 +63,16 @@ def save_result(name: str, text: str) -> pathlib.Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     return path
+
+
+def call_seconds(fn, repeats: int, *, warmup: int = 1) -> np.ndarray:
+    """Wall seconds of ``repeats`` timed calls of ``fn``, after ``warmup``
+    untimed ones."""
+    for _ in range(warmup):
+        fn()
+    seconds = np.empty(repeats)
+    for i in range(repeats):
+        start = monotonic()
+        fn()
+        seconds[i] = monotonic() - start
+    return seconds

@@ -10,21 +10,15 @@ serving-shaped operands (many query rows × few model rows):
 * fused ``encode_pack_tile`` versus the unfused encode→norms→scales→
   pack stage chain it replaces.
 
-Writes ``benchmarks/results/packed_kernels.txt`` and, when the
-repo-root ``BENCH_inference.json`` exists, appends the numbers under a
-``kernels`` key so the canonical perf record carries the kernel split
-alongside the end-to-end rows/s.
+Writes ``benchmarks/results/packed_kernels.txt``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 import numpy as np
 import pytest
 
-from _common import save_result
+from _common import call_seconds, save_result
 from repro.encoding.nonlinear import NonlinearEncoder, encode_into
 from repro.engine.kernels import (
     TileScratch,
@@ -40,24 +34,14 @@ from repro.runtime import (
     pack_sign_words,
 )
 from repro.runtime import packing
-from repro.telemetry.timing import monotonic
-
-BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_inference.json"
 
 #: (query_rows, model_rows, dim) shapes — the serving popcount geometry.
 SHAPES = ((512, 8, 4096), (512, 8, 10000))
 
 
-def _time(fn, *, repeats: int = 5, warmup: int = 1) -> float:
-    """Best-of-``repeats`` wall seconds for one call of ``fn``."""
-    for _ in range(warmup):
-        fn()
-    best = np.inf
-    for _ in range(repeats):
-        start = monotonic()
-        fn()
-        best = min(best, monotonic() - start)
-    return float(best)
+def _time(fn) -> float:
+    """Best-of-5 wall seconds for one call of ``fn``."""
+    return float(call_seconds(fn, 5).min())
 
 
 @pytest.fixture(scope="module")
@@ -158,16 +142,6 @@ def test_kernel_microbench(kernel_rows, fused_rows):
     text = table + "\n\n" + fused_table
     save_result("packed_kernels", text)
     print("\n" + text)
-
-    # Append under the canonical perf record when it exists (quick CI
-    # checkouts that never ran `repro bench` simply skip the append).
-    if BENCH_JSON.exists():
-        record = json.loads(BENCH_JSON.read_text())
-        record["kernels"] = {
-            "popcount": kernel_rows,
-            "fused_encode_pack": fused_rows,
-        }
-        BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
     # Shape assertions, not absolute-speed ones (CI machines vary):
     for r in fused_rows:

@@ -55,7 +55,6 @@ from repro.datasets import (
     train_test_split,
 )
 from repro.datasets.preprocessing import StandardScaler
-from repro.engine import compare_inference_records, run_inference_benchmark
 from repro.evaluation import render_table, run_on_split
 from repro.metrics import mean_squared_error, r2_score
 from repro.noise.injection import outlier_burst
@@ -136,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         metavar="PATH",
-        help="write the BENCH_workloads.json record here",
+        help="write the JSON SLO report here",
     )
     replay.add_argument(
         "--trace-out",
@@ -458,52 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_out(stream)
 
-    bench = sub.add_parser(
-        "bench",
-        help="inference-engine throughput/latency benchmark "
-        "(float vs a compiled plan)",
-    )
-    bench.add_argument(
-        "--dims",
-        default="1000,4096,10000",
-        help="comma-separated hypervector dimensionalities to sweep",
-    )
-    bench.add_argument(
-        "--rows", type=int, default=2048, help="rows per timed batch"
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=10, help="timed batches per variant"
-    )
-    bench.add_argument(
-        "--features", type=int, default=16, help="raw input features"
-    )
-    bench.add_argument("--seed", type=int, default=0, help="master seed")
-    bench.add_argument(
-        "--backend",
-        choices=sorted(BACKEND_REGISTRY),
-        default="packed_v2",
-        help="execution-runtime backend of the compiled cell",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: smaller batches, fewer repeats, D <= 4096",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_inference.json",
-        help="where to write the JSON perf record",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="diff rows/s against a reference record and exit non-zero "
-        "on a >10%% throughput regression (speedup-ratio fallback when "
-        "machines/params differ)",
-    )
-    _add_metrics_out(bench)
-
     tele = sub.add_parser(
         "telemetry",
         help="exercise a small synthetic workload and export its metrics "
@@ -647,16 +600,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 for c in report.checks
                 if not c.passed
             )
-            p99 = (
-                "     --"
-                if report.p99_latency_ms is None
-                else f"{report.p99_latency_ms:7.1f}"
-            )
             print(
                 f"{verdict}  {report.workload:24s} "
                 f"rmse={report.tail_rmse:8.4f}  "
                 f"cov={'--' if report.coverage is None else f'{report.coverage:.3f}'}  "
-                f"p99={p99}ms  "
+                f"p99={report.p99_latency_ms:7.1f}ms  "
                 f"batches={report.n_batches:4d}  faults={report.faults_injected:3d}"
                 + (f"  [{failed}]" if failed else "")
             )
@@ -1058,83 +1006,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import pathlib
-
-    registry = _metrics_session(args)
-    try:
-        dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
-    except ValueError:
-        print(f"--dims must be comma-separated integers: {args.dims!r}", file=sys.stderr)
-        return 1
-    if not dims:
-        print("--dims selected no dimensionalities", file=sys.stderr)
-        return 1
-    baseline = None
-    if args.compare is not None:
-        # Read before the run: the baseline may be the output path itself.
-        try:
-            baseline = json.loads(pathlib.Path(args.compare).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"--compare: cannot read {args.compare}: {exc}", file=sys.stderr)
-            return 1
-    record = run_inference_benchmark(
-        dims=dims,
-        batch_rows=args.rows,
-        repeats=args.repeats,
-        features=args.features,
-        seed=args.seed,
-        quick=args.quick,
-        backend=args.backend,
-    )
-    rows = [
-        {
-            "dim": r["dim"],
-            "variant": r["variant"],
-            "rows_per_s": r["rows_per_s"],
-            "p50_ms": r["p50_ms"],
-            "p99_ms": r["p99_ms"],
-        }
-        for r in record["results"]
-    ]
-    print(
-        render_table(
-            rows,
-            precision=2,
-            title="inference engine throughput "
-            f"(batch={record['params']['batch_rows']} rows, "
-            f"{record['params']['repeats']} repeats)",
-        )
-    )
-    runtime = record["runtime"]
-    for dim, ratios in record["speedups"].items():
-        speedup = ratios[f"{runtime['backend']}_vs_float"]
-        print(f"D={dim:>6}: {runtime['backend']} {speedup:.2f}x vs float")
-    print(f"runtime backend: {runtime['backend']} (runtime v{runtime['version']})")
-    out_path = pathlib.Path(args.output)
-    out_path.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    _write_metrics(registry, args)
-    if baseline is not None:
-        report = compare_inference_records(baseline, record)
-        mode = "rows/s" if report["strict"] else "speedup ratios"
-        print(f"compare vs {args.compare} ({mode}, {report['compared']} cells):")
-        if report["note"]:
-            print(f"  note: {report['note']}")
-        for line in report["lines"]:
-            marker = "  REGRESSION " if line in report["regressions"] else "  "
-            print(marker + line)
-        if report["regressions"]:
-            print(
-                f"{len(report['regressions'])} regression(s) beyond "
-                f"{report['threshold']:.0%}",
-                file=sys.stderr,
-            )
-            return 1
-        print("no regressions")
-    return 0
-
-
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     if args.catalog:
         for name, (kind, help_text) in sorted(telemetry.CATALOG.items()):
@@ -1171,7 +1042,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not files:
         print(
             f"no result tables under {results_dir}; run "
-            "`pytest benchmarks/ --benchmark-only` first",
+            "`pytest benchmarks/` first",
             file=sys.stderr,
         )
         return 1
@@ -1219,8 +1090,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_hardware(args)
     if args.command == "stream":
         return _cmd_stream(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "telemetry":
         return _cmd_telemetry(args)
     if args.command == "report":

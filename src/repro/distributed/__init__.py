@@ -10,14 +10,11 @@ This package provides the harness around that algebra:
   ordered reduce → apply; :func:`train_sharded` for the one-call form;
 * :class:`DeltaCoordinator` — folds shard rounds into a live streaming
   learner between checkpoints, preserving prequential honesty and the
-  incremental serving-plan refresh;
-* :func:`run_distributed_benchmark` — the ``BENCH_distributed.json``
-  scaling sweep (see :mod:`repro.distributed.bench`).
+  incremental serving-plan refresh.
 
 Seeding: anything a worker randomises locally derives its seed with
 :func:`repro.core.config.derive_shard_seed` so shards are independent
-yet reproducible.  The benchmark is not imported here (it pulls in the
-dataset layer); import it from :mod:`repro.distributed.bench`.
+yet reproducible.
 """
 
 from repro.distributed.coordinator import (

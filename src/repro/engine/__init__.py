@@ -11,20 +11,13 @@ scratch) fanned over a thread pool.
 
 On quantised configurations the similarity search and fully-binary dot
 products run as XOR + popcount (Sec. 3's D-bit logic), bit-exact with the
-float sign arithmetic they replace; ``repro.engine.bench`` measures the
-resulting speedup and seeds ``BENCH_inference.json``.
+float sign arithmetic they replace.
 """
 
-from repro.engine.bench import (
-    compare_inference_records,
-    run_inference_benchmark,
-)
 from repro.engine.plan import CompiledPlan, auto_tile_rows, compile_model
 
 __all__ = [
     "CompiledPlan",
     "auto_tile_rows",
     "compile_model",
-    "compare_inference_records",
-    "run_inference_benchmark",
 ]

@@ -19,10 +19,7 @@ like and acts on departures from it:
   (checkpointable; optional adaptive-alpha correction);
 * :mod:`~repro.robust.distribution` — mixture moments over the k
   soft-cluster responsibilities, powering
-  :meth:`MultiModelRegHD.predict_dist`;
-* :mod:`~repro.robust.bench` — the contamination benchmark behind
-  ``BENCH_robustness.json`` (not imported here; it pulls in the full
-  model stack).
+  :meth:`MultiModelRegHD.predict_dist`.
 
 All covariance/Mahalanobis arithmetic in the repository lives here — a
 repo-consistency test bans ad-hoc clones elsewhere.

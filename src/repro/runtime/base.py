@@ -38,7 +38,7 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: the reference backend: exact float arithmetic, bit-identical goldens.
 DEFAULT_BACKEND = "dense"
 
-#: bumped when kernel semantics change; recorded in benchmark artifacts.
+#: bumped when kernel semantics change; stamped on the telemetry export.
 #: 2.0: cache-blocked pairwise popcount kernels + the PackedV2 fused
 #: encode→pack serving pipeline.
 RUNTIME_VERSION = "2.0"

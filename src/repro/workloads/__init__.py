@@ -29,7 +29,6 @@ from repro.workloads.replay import (
     GateCheck,
     ReplayEngine,
     SLOReport,
-    compare_workload_records,
     workload_bench_record,
 )
 from repro.workloads.traffic import TRAFFIC_KINDS, TrafficBatch, TrafficShape
@@ -54,7 +53,6 @@ __all__ = [
     "WORKLOAD_REGISTRY",
     "Workload",
     "available_workloads",
-    "compare_workload_records",
     "get_workload",
     "register_workload",
     "unregister_workload",

@@ -7,8 +7,8 @@ sparse inputs, multi-output forecasting at scale, adversarial arrival
 patterns with contaminated rows, and memory-fault endurance under active
 scrubbing.  Each is a pure declaration — the replay engine supplies the
 resilient streaming machinery, so adding a scenario here automatically
-adds it to ``repro workloads``, ``repro replay --all`` and the
-``BENCH_workloads.json`` regression gate.
+adds it to ``repro workloads`` and ``repro replay``, whose default
+replays the whole catalogue.
 
 RMSE ceilings are in raw target units of each dataset and were calibrated
 at roughly 1.5× the observed tail RMSE of a healthy seeded replay, so a

@@ -6,9 +6,10 @@ traffic, and feeds the batches through a fully-armed
 guard, Page-Hinkley drift detection, watchdog with checkpoint rollback,
 memory scrubbing when the fault plan targets the model, and streaming
 conformal intervals — while injecting the declared drift and faults.
-Per-batch latency lands in the ``reghd_replay_batch_seconds`` telemetry
-histogram; the SLO report scores the workload's quality gate from those
-histograms plus the prequential tail error and conformal coverage.
+The SLO report scores the workload's quality gate from the exact
+percentiles of the measured per-batch update times plus the prequential
+tail error and conformal coverage; each batch time also feeds the
+``reghd_replay_batch_seconds`` telemetry histogram.
 
 All data-side randomness (traffic schedule, fault draws) derives from
 the run seed, so two replays of the same workload at the same seed score
@@ -51,7 +52,7 @@ from repro.workloads.registry import get_workload
 #: model dimensionality cap applied in quick (CI smoke) mode.
 QUICK_DIM = 512
 
-#: record tag dispatched on by ``benchmarks/compare.py``.
+#: the ``benchmark`` tag of :func:`workload_bench_record`'s report.
 BENCHMARK_NAME = "reghd-workload-replay"
 
 
@@ -70,13 +71,9 @@ class SLOReport:
     """Structured outcome of one workload replay.
 
     Quality fields (``tail_rmse``, ``coverage``) are deterministic under
-    a fixed seed; the latency percentiles come from the telemetry
-    histogram and reflect the machine the replay ran on.  They are
-    ``None`` when the histogram holds no finite-bucket data — a
-    zero-batch workload or one whose every batch overflowed the bucket
-    range reports ``null`` percentiles rather than a misleading number
-    (:meth:`~repro.telemetry.metrics.Histogram.quantile` returns NaN in
-    both cases).
+    a fixed seed; the latency percentiles are exact quantiles of the
+    measured per-batch update times and reflect the machine the replay
+    ran on.
     """
 
     workload: str
@@ -88,8 +85,8 @@ class SLOReport:
     sim_seconds: float  # simulated arrival span of the traffic schedule
     tail_rmse: float
     coverage: float | None
-    p50_latency_ms: float | None
-    p99_latency_ms: float | None
+    p50_latency_ms: float
+    p99_latency_ms: float
     drift_detections: int
     rollbacks: int
     skipped_batches: int
@@ -105,6 +102,11 @@ class SLOReport:
         d = asdict(self)
         d["checks"] = list(d["checks"])  # tuples do not survive JSON
         return d
+
+
+def _quantile_ms(batch_seconds: list[float], q: float) -> float:
+    """The exact ``q`` quantile of the measured batch times, in ms."""
+    return float(np.quantile(batch_seconds, q)) * 1e3
 
 
 class ReplayEngine:
@@ -300,6 +302,7 @@ class ReplayEngine:
             "reghd_replay_rows_total", workload=workload.name
         )
         faults_injected = 0
+        batch_seconds: list[float] = []  # measured update time per batch
         batch_quality: list[tuple[int, float]] = []  # (rows, prequential mse)
         skipped = 0
         rows_done = 0
@@ -317,8 +320,8 @@ class ReplayEngine:
             ):
                 t0 = _timing.monotonic()
                 report = stream.update(X_batch, y_batch)
-                batch_seconds = _timing.monotonic() - t0
-            latency.observe(batch_seconds)
+                batch_seconds.append(_timing.monotonic() - t0)
+            latency.observe(batch_seconds[-1])
             rows_counter.inc(batch.size)
             rows_done += batch.size
             if report.skipped:
@@ -328,7 +331,7 @@ class ReplayEngine:
 
             # Continuous SLO evaluation: every scored batch updates the
             # rolling burn rates the live console renders.
-            observed: dict = {"latency_ms": batch_seconds * 1e3}
+            observed: dict = {"latency_ms": batch_seconds[-1] * 1e3}
             if report.prequential_mse is not None:
                 observed["rmse"] = float(np.sqrt(report.prequential_mse))
             if stream.conformal is not None and stream.conformal.n_scored:
@@ -340,7 +343,7 @@ class ReplayEngine:
                         workload.name,
                         slo_tracker,
                         registry,
-                        latency,
+                        batch_seconds,
                         batches=batch.index + 1,
                         rows=rows_done,
                         elapsed=_timing.monotonic() - run_start,
@@ -352,8 +355,8 @@ class ReplayEngine:
         coverage = (
             stream.conformal.coverage if stream.conformal.n_scored else None
         )
-        p50_ms = self._quantile_ms(latency, 0.5)
-        p99_ms = self._quantile_ms(latency, 0.99)
+        p50_ms = _quantile_ms(batch_seconds, 0.5)
+        p99_ms = _quantile_ms(batch_seconds, 0.99)
         checks = self._score_gate(
             workload.name, gate, registry, tail_rmse, coverage, p99_ms
         )
@@ -400,22 +403,11 @@ class ReplayEngine:
     # -- console snapshots ---------------------------------------------------
 
     @staticmethod
-    def _quantile_ms(latency, q: float) -> float | None:
-        """A latency percentile in ms, or None with no finite-bucket data.
-
-        ``Histogram.quantile`` returns NaN on empty and overflow-only
-        histograms; surfacing that as None keeps JSON reports honest
-        (``null``, not a fabricated 0 or a clamp)."""
-        value = latency.quantile(q)
-        return None if not np.isfinite(value) else float(value) * 1e3
-
-    @classmethod
     def _console_snapshot(
-        cls,
         workload_name: str,
         slo_tracker: "_slo.SLOTracker",
         registry: _metrics.MetricsRegistry,
-        latency,
+        batch_seconds: list[float],
         *,
         batches: int,
         rows: int,
@@ -428,8 +420,8 @@ class ReplayEngine:
             "batches": batches,
             "rows": rows,
             "qps": round(rows / elapsed, 3) if elapsed > 0 else None,
-            "p50_ms": cls._quantile_ms(latency, 0.5),
-            "p99_ms": cls._quantile_ms(latency, 0.99),
+            "p50_ms": _quantile_ms(batch_seconds, 0.5),
+            "p99_ms": _quantile_ms(batch_seconds, 0.99),
             "slo": slo_tracker.state(),
         }
         snapshot.update(_slo.registry_console_stats(registry))
@@ -463,7 +455,7 @@ class ReplayEngine:
         registry: _metrics.MetricsRegistry,
         tail_rmse: float,
         coverage: float | None,
-        p99_ms: float | None,
+        p99_ms: float,
     ) -> tuple[GateCheck, ...]:
         checks: list[GateCheck] = []
         if gate.rmse_ceiling is not None:
@@ -487,16 +479,12 @@ class ReplayEngine:
                 )
             )
         if gate.p99_latency_ms is not None:
-            # p99_ms is None when the latency histogram had no
-            # finite-bucket data; an unmeasurable latency SLO fails.
-            measured = float("nan") if p99_ms is None else float(p99_ms)
             checks.append(
                 GateCheck(
                     gate="p99_latency_ms",
-                    value=measured,
+                    value=p99_ms,
                     limit=gate.p99_latency_ms,
-                    passed=bool(np.isfinite(measured))
-                    and measured <= gate.p99_latency_ms,
+                    passed=p99_ms <= gate.p99_latency_ms,
                 )
             )
         for check in checks:
@@ -519,75 +507,11 @@ class ReplayEngine:
         )
 
 
-def compare_workload_records(
-    baseline: dict, current: dict, *, threshold: float = 0.10
-) -> dict:
-    """Regression-gate two ``BENCH_workloads.json`` records.
-
-    Per shared workload, a regression is a tail-RMSE increase beyond the
-    slack or a gate that flipped from pass to fail.  Latency percentiles
-    are machine-bound and never compared; quality numbers are seeded and
-    deterministic, so records only compare when ``quick`` and ``seed``
-    match — anything else is incomparable and passes with a note.  The
-    report shape mirrors
-    :func:`repro.engine.bench.compare_inference_records` so
-    ``benchmarks/compare.py`` renders all record kinds identically.
-    """
-    report: dict = {
-        "strict": False,
-        "threshold": threshold,
-        "compared": 0,
-        "lines": [],
-        "regressions": [],
-        "note": "",
-    }
-    if baseline.get("benchmark") != current.get("benchmark"):
-        report["note"] = "different benchmark kinds; nothing to compare"
-        return report
-    same_mode = (baseline.get("quick"), baseline.get("seed")) == (
-        current.get("quick"),
-        current.get("seed"),
-    )
-    if not same_mode:
-        report["note"] = (
-            "different quick/seed settings; replay quality numbers are "
-            "only comparable at matching parameters"
-        )
-        return report
-    report["strict"] = True
-    base_by_name = {r["workload"]: r for r in baseline.get("results", [])}
-    for result in current.get("results", []):
-        ref = base_by_name.get(result["workload"])
-        if ref is None:
-            continue
-        report["compared"] += 1
-        ref_rmse = float(ref["tail_rmse"])
-        cur_rmse = float(result["tail_rmse"])
-        line = (
-            f"{result['workload']}: rmse {ref_rmse:.4f} -> {cur_rmse:.4f}, "
-            f"gate {'PASS' if ref['passed'] else 'FAIL'} -> "
-            f"{'PASS' if result['passed'] else 'FAIL'}"
-        )
-        report["lines"].append(line)
-        rmse_worse = (
-            np.isfinite(ref_rmse)
-            and np.isfinite(cur_rmse)
-            and cur_rmse > ref_rmse * (1.0 + threshold) + 1e-9
-        )
-        newly_failing = bool(ref["passed"]) and not bool(result["passed"])
-        if rmse_worse or newly_failing:
-            report["regressions"].append(line)
-    return report
-
-
 def workload_bench_record(
     reports: list[SLOReport], *, quick: bool, seed: int
 ) -> dict:
-    """The ``BENCH_workloads.json`` record for a set of replay reports.
-
-    Tagged with :data:`BENCHMARK_NAME` so ``benchmarks/compare.py`` can
-    dispatch it into the regression gate alongside the other BENCH files.
-    """
+    """The JSON SLO report (``repro replay --output``) for replay reports,
+    tagged with :data:`BENCHMARK_NAME`."""
     return {
         "benchmark": BENCHMARK_NAME,
         "quick": bool(quick),

@@ -15,11 +15,7 @@ from repro import (
     compile_model,
 )
 from repro.core import ClusterQuant, ConvergencePolicy, PredictQuant
-from repro.engine import (
-    auto_tile_rows,
-    compare_inference_records,
-    run_inference_benchmark,
-)
+from repro.engine import auto_tile_rows
 from repro.engine.kernels import TileScratch
 from repro.exceptions import (
     ConfigurationError,
@@ -390,6 +386,36 @@ class TestPlanRefresh:
         np.testing.assert_allclose(new.model_op.scales, model.models.scales)
         assert not np.allclose(plan.model_op.scales, model.models.scales)
 
+    @pytest.mark.usefixtures("auto_backend")
+    def test_stream_refresh_counts(self):
+        """A seeded stream session at D=4096 re-packs only the operand rows
+        whose signs moved: 189 of the 256 rows its 16 updates offer."""
+        rng = np.random.default_rng(7)
+        stream = StreamingRegHD(
+            16,
+            RegHDConfig(
+                dim=4096,
+                n_models=8,
+                seed=0,
+                cluster_quant=ClusterQuant.FRAMEWORK,
+                predict_quant=PredictQuant.BINARY_BOTH,
+            ),
+        )
+        X = rng.normal(size=(64, 16))
+        stream.update(X, np.sin(X[:, 0]))
+        stream.predict(rng.normal(size=(8, 16)))  # compiles the plan
+        for _ in range(16):
+            X = rng.normal(size=(16, 16))
+            stream.update(X, np.sin(X[:, 0]))
+            stream.predict(rng.normal(size=(8, 16)))
+        assert stream._plan.refresh_stats == {
+            "compiles": 1,
+            "rows_snapshotted": 16,
+            "refreshes": 16,
+            "rows_refreshed": 189,
+            "rows_reused": 67,
+        }
+
     def test_refresh_rejects_foreign_model(self):
         plan = _fitted().compile()
         other = _fitted(dim=128)
@@ -457,121 +483,3 @@ class TestServingIntegration:
             rtol=1e-9,
             atol=1e-10,
         )
-
-
-class TestBenchHarness:
-    def test_quick_benchmark_schema(self):
-        record = run_inference_benchmark(
-            dims=(64, 96), batch_rows=32, repeats=2, features=4
-        )
-        assert record["schema"] == 1
-        assert record["runtime"]["backend"] == "packed_v2"
-        assert {r["variant"] for r in record["results"]} == {
-            "float",
-            "packed_v2",
-        }
-        assert len(record["results"]) == 4
-        for stats in record["results"]:
-            assert stats["rows_per_s"] > 0
-            assert stats["p50_ms"] <= stats["p99_ms"] + 1e-9
-        assert {
-            dim: set(ratios) for dim, ratios in record["speedups"].items()
-        } == {"64": {"packed_v2_vs_float"}, "96": {"packed_v2_vs_float"}}
-
-    def test_quick_flag_shrinks_sweep(self):
-        record = run_inference_benchmark(
-            dims=(64, 8192), batch_rows=1024, repeats=10, features=4, quick=True
-        )
-        assert record["params"]["dims"] == [64]
-        assert record["params"]["batch_rows"] <= 512
-        assert record["params"]["repeats"] <= 3
-
-
-class TestCompareGate:
-    @staticmethod
-    def _record(**overrides):
-        record = {
-            "params": {
-                "batch_rows": 32,
-                "repeats": 2,
-                "features": 4,
-            },
-            "machine": {"cpu_count": 4},
-            "runtime": {"backend": "packed_v2"},
-            "results": [
-                {"dim": d, "variant": v, "rows_per_s": r}
-                for d in (64, 96)
-                for v, r in (("float", 100.0), ("packed_v2", 300.0))
-            ],
-            "speedups": {
-                "64": {"packed_v2_vs_float": 3.0},
-                "96": {"packed_v2_vs_float": 3.0},
-            },
-        }
-        for key, val in overrides.items():
-            record[key] = {**record[key], **val}
-        return record
-
-    def test_strict_mode_flags_rows_per_s_drop(self):
-        import copy
-
-        current = copy.deepcopy(self._record())
-        for row in current["results"]:
-            row["rows_per_s"] *= 0.5
-        report = compare_inference_records(self._record(), current)
-        assert report["strict"] and report["note"] is None
-        assert len(report["regressions"]) == 4
-
-    def test_quick_records_get_doubled_slack(self):
-        import copy
-
-        baseline = self._record()
-        baseline["quick"] = True
-        current = copy.deepcopy(baseline)
-        for row in current["results"]:
-            row["rows_per_s"] *= 0.85  # -15%: noise at smoke scale
-        report = compare_inference_records(baseline, current)
-        assert report["strict"] and not report["regressions"]
-        for row in current["results"]:
-            row["rows_per_s"] *= 0.85  # -28% compounded: real regression
-        report = compare_inference_records(baseline, current)
-        assert len(report["regressions"]) == 4
-
-    def test_params_mismatch_is_incomparable(self):
-        current = self._record(params={"batch_rows": 2048})
-        report = compare_inference_records(self._record(), current)
-        assert report["compared"] == 0 and not report["regressions"]
-        assert "workload-dependent" in report["note"]
-
-    def test_cross_machine_falls_back_to_ratios_with_doubled_slack(self):
-        current = self._record(machine={"cpu_count": 8})
-        current["speedups"]["64"]["packed_v2_vs_float"] = 2.6  # -13% < 20%
-        current["speedups"]["96"]["packed_v2_vs_float"] = 1.5  # -50%
-        report = compare_inference_records(self._record(), current)
-        assert not report["strict"]
-        assert report["compared"] == 2
-        assert len(report["regressions"]) == 1
-        assert report["regressions"][0].startswith("D=96 packed_v2_vs_float")
-
-    def test_backend_mismatch_skips_packed_cells(self):
-        """A record that requested another backend shares only the float
-        cell with the baseline: its compiled cell and ratio are named
-        after that backend and never diffed against ``packed_v2``."""
-        current = self._record(runtime={"backend": "dense"})
-        current["results"] = [
-            {**row, "variant": "dense", "rows_per_s": 1.0}
-            if row["variant"] == "packed_v2"
-            else row
-            for row in current["results"]
-        ]
-        current["speedups"] = {
-            dim: {"dense_vs_float": 0.01} for dim in ("64", "96")
-        }
-        strict = compare_inference_records(self._record(), current)
-        assert strict["strict"] and not strict["regressions"]
-        assert strict["compared"] == 2 and "skipped" in strict["note"]
-        assert all(" float:" in line for line in strict["lines"])
-        cross = self._record(machine={"cpu_count": 8})
-        ratio = compare_inference_records(cross, current)
-        assert not ratio["strict"] and not ratio["regressions"]
-        assert ratio["compared"] == 0

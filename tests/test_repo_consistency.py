@@ -209,6 +209,18 @@ def test_no_ad_hoc_timing_outside_telemetry():
     )
 
 
+def test_no_benchmark_harness_in_src():
+    """Speed is measured by ``python3 -m bench run`` and quality claims are
+    pytest assertions under ``benchmarks/``, so ``src`` holds no benchmark
+    harness: no ``bench.py`` module and no ``BENCH_*.json`` record."""
+    modules = [str(p.relative_to(SRC)) for p in SRC.rglob("bench.py")]
+    hits = _offending_lines(r"BENCH_\w*\.json")
+    assert not modules + hits, (
+        "benchmark module or record under src — measure through bench/ "
+        "or assert in benchmarks/:\n" + "\n".join(modules + hits)
+    )
+
+
 def test_no_ad_hoc_covariance_outside_robust():
     """Covariance estimation, matrix (pseudo-)inversion and Mahalanobis
     scoring live in repro/robust only.  ``np.linalg.solve`` (ridge normal

@@ -6,6 +6,7 @@ where its runtime belongs.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.workloads import (
     WORKLOAD_REGISTRY,
     Workload,
     available_workloads,
-    compare_workload_records,
     get_workload,
     register_workload,
     unregister_workload,
@@ -319,58 +319,35 @@ def test_report_round_trips_through_json(tiny_report):
     assert json.loads(json.dumps(payload)) == payload
 
 
-# --- the regression gate ---------------------------------------------------
+def test_replay_latency_percentiles_are_exact(monkeypatch):
+    """p50/p99 are exact quantiles of the measured batch times, not
+    interpolations inside the latency histogram's buckets."""
+    from repro.workloads import replay
+
+    # Dyadic durations (about 1-40 ms) so the clock differences are exact.
+    seconds = [k / 1024 for k in (3, 1, 40, 2, 7, 5, 4, 6)]
+    # The loop reads the clock once at the start, then before and after
+    # each batch's update.
+    readings = iter(
+        [0.0] + [t for i, s in enumerate(seconds) for t in (i, i + s)]
+    )
+    monkeypatch.setattr(
+        replay, "_timing", SimpleNamespace(monotonic=lambda: next(readings))
+    )
+    report = ReplayEngine(quick=True, seed=0).run(
+        _tiny_workload(gate=QualityGate(p99_latency_ms=1000.0))
+    )
+    assert report.n_batches == len(seconds)
+    assert report.p50_latency_ms == np.quantile(seconds, 0.5) * 1e3
+    assert report.p99_latency_ms == np.quantile(seconds, 0.99) * 1e3
+    assert report.checks[0].value == report.p99_latency_ms
 
 
-def _record(reports):
-    return workload_bench_record(reports, quick=True, seed=0)
-
-
-def test_self_compare_is_clean(tiny_report):
-    record = _record([tiny_report])
-    report = compare_workload_records(record, record)
-    assert report["strict"]
-    assert report["compared"] == 1
-    assert not report["regressions"]
-
-
-def test_rmse_regression_is_flagged(tiny_report):
-    baseline = _record([tiny_report])
-    current = json.loads(json.dumps(baseline))
-    current["results"][0]["tail_rmse"] = tiny_report.tail_rmse * 2.0
-    report = compare_workload_records(baseline, current, threshold=0.10)
-    assert len(report["regressions"]) == 1
-
-
-def test_gate_flip_is_flagged_even_with_better_rmse(tiny_report):
-    baseline = _record([tiny_report])
-    current = json.loads(json.dumps(baseline))
-    current["results"][0]["tail_rmse"] = tiny_report.tail_rmse * 0.5
-    current["results"][0]["passed"] = False
-    report = compare_workload_records(baseline, current)
-    assert len(report["regressions"]) == 1
-
-
-def test_mismatched_modes_are_incomparable(tiny_report):
-    baseline = _record([tiny_report])
-    current = json.loads(json.dumps(baseline))
-    current["seed"] = 99
-    report = compare_workload_records(baseline, current)
-    assert not report["strict"]
-    assert report["compared"] == 0
-    assert report["note"]
-
-
-def test_different_benchmark_kinds_are_incomparable(tiny_report):
-    baseline = _record([tiny_report])
-    current = json.loads(json.dumps(baseline))
-    current["benchmark"] = "reghd-distributed-scaling"
-    report = compare_workload_records(baseline, current)
-    assert report["compared"] == 0
+# --- the SLO report ----------------------------------------------------------
 
 
 def test_bench_record_shape(tiny_report):
-    record = _record([tiny_report])
+    record = workload_bench_record([tiny_report], quick=True, seed=0)
     assert record["benchmark"] == BENCHMARK_NAME
     assert record["params"]["n_workloads"] == 1
     assert record["results"][0]["workload"] == "replay_unit_workload"
