@@ -176,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top",
         help="live SLO console: render a replay's snapshot file "
-        "(burn rates, percentiles, caches, kernel counters)",
+        "(burn rates, percentiles, kernel counters)",
     )
     top.add_argument(
         "snapshot",

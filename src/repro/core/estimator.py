@@ -607,14 +607,14 @@ class BaseRegHDEstimator(BaseEstimator):
 
         self._record_targets(y_arr)
         y_train = self._prepare_fit_targets(y_arr)
-        S = self._encode_normalized(X_arr)
+        S = self._encoded_operand(self._encode_query(X_arr))
         S_val = None
         y_val_train = None
         if X_val is not None and y_val is not None:
             X_val_arr = check_2d("X_val", X_val)
             y_val_arr = check_1d("y_val", y_val)
             check_matching_lengths("X_val", X_val_arr, "y_val", y_val_arr)
-            S_val = self._encode_normalized(X_val_arr)
+            S_val = self._encoded_operand(self._encode_query(X_val_arr))
             y_val_train = self._transform_targets(y_val_arr)
 
         self._reset_learned_state()
@@ -646,7 +646,7 @@ class BaseRegHDEstimator(BaseEstimator):
         y_arr = check_1d("y", y)
         check_matching_lengths("X", X_arr, "y", y_arr)
         if encoded is None:
-            S = self._encode_normalized(X_arr)
+            encoded = self._encode_query(X_arr)
         else:
             shape = None if encoded.S is None else encoded.S.shape
             if shape != (len(X_arr), self.dim):
@@ -654,7 +654,7 @@ class BaseRegHDEstimator(BaseEstimator):
                     f"encoded query has shape {shape}, expected "
                     f"{(len(X_arr), self.dim)} for this batch"
                 )
-            S = self._encoded_operand(encoded)
+        S = self._encoded_operand(encoded)
         self._record_targets(y_arr)
         self.scaler.freeze_once(y_arr)
         self._fitted = True
@@ -682,9 +682,10 @@ class BaseRegHDEstimator(BaseEstimator):
         )
 
     def _encoded_operand(self, query: Query):
-        """What the trainer-protocol methods take for an encoded batch:
-        the plain matrix here; models whose kernels read the query's
-        cached derivations take the query itself."""
+        """What the trainer-protocol methods take for an encoded batch,
+        in ``fit``, ``partial_fit`` and ``predict`` alike: the plain
+        matrix here; models whose kernels read the query's cached
+        derivations take the query itself."""
         return query.S
 
     # -- trainer protocol (implemented by concrete models) -----------------
@@ -701,12 +702,6 @@ class BaseRegHDEstimator(BaseEstimator):
 
     def end_epoch(self) -> None:
         """Per-epoch post-processing (default: none)."""
-
-    def begin_training(self, S: FloatArray) -> None:
-        """Pre-run hook for run-scoped kernel caches (default: none)."""
-
-    def finish_training(self) -> None:
-        """Post-run teardown matching :meth:`begin_training` (default: none)."""
 
     # -- state protocol plumbing -------------------------------------------
 

@@ -151,33 +151,8 @@ class MultiModelRegHD(BaseRegHDEstimator):
         # a re-fit swaps in fresh DualCopy objects.
         self._cluster_op = ClusterOperand(self.clusters, cfg.cluster_quant)
         self._model_op = ModelOperand(self.models, cfg.predict_quant)
-        self._train_cache = None
 
     # -- similarity / confidence ------------------------------------------
-
-    def _query(self, S: FloatArray | Query) -> Query:
-        """Wrap a batch for the runtime, reusing the epoch-spanning query.
-
-        A :class:`Query` passes through as is.  For a matrix, identity
-        check (``cache.S is S``): the trainer presents the same encoded
-        matrix every epoch, so the training query's derived operands
-        apply exactly when the caller passes that matrix itself.
-        """
-        if isinstance(S, Query):
-            return S
-        cache = self._train_cache
-        registry = _metrics.active()
-        if cache is not None and cache.S is S:
-            if registry is not None:
-                registry.counter(
-                    "reghd_cache_events_total", cache="query", event="hit"
-                ).inc()
-            return cache
-        if registry is not None and cache is not None:
-            registry.counter(
-                "reghd_cache_events_total", cache="query", event="miss"
-            ).inc()
-        return Query(S)
 
     def _cluster_similarities(self, query: Query) -> FloatArray:
         """Eq. (5) (or its Hamming replacement) for a batch: ``(n, k)``."""
@@ -198,7 +173,7 @@ class MultiModelRegHD(BaseRegHDEstimator):
 
         ``S`` is an encoded matrix or a :class:`Query` over one.
         """
-        query = self._query(S)
+        query = S if isinstance(S, Query) else Query(S)
         sims = self._cluster_similarities(query)
         conf = self._confidences(sims)
         dots = self.runtime.model_dots(query, self._model_op)
@@ -257,41 +232,24 @@ class MultiModelRegHD(BaseRegHDEstimator):
         else:
             self._push_update("clusters_integer", delta, row_counts=counts)
 
-    def fit_epoch(
-        self, S: FloatArray | Query, y: FloatArray, order: np.ndarray
-    ) -> None:
-        """One pass of mini-batch updates over pre-encoded data.
+    def fit_epoch(self, S: Query, y: FloatArray, order: np.ndarray) -> None:
+        """One pass of mini-batch updates over a pre-encoded query.
 
-        ``S`` may be a :class:`Query` (``partial_fit`` on a batch that was
-        already encoded for its prequential prediction): each mini-batch
-        query is then :meth:`Query.slice` of it, reusing what it has
-        derived, and counts as an ``encoded`` cache hit rather than a
-        ``query`` cache lookup.
+        Each mini-batch is a :meth:`Query.slice` of ``S``, so it reuses
+        whatever the whole query has derived (the packed words and
+        scales :meth:`_encoded_operand` derives up front, the signs the
+        per-epoch evaluation caches).
         """
         batch = self.config.batch_size
-        if isinstance(S, Query):
-            cache, cache_name = S, "encoded"
-        else:
-            cache, cache_name = self._train_cache, "query"
-            if cache is not None and cache.S is not S:
-                cache = None  # partial_fit on new data; cache belongs to fit()
-        registry = _metrics.active()
         for start in range(0, len(order), batch):
             idx = order[start : start + batch]
-            query = cache.slice(idx) if cache is not None else Query(S[idx])
-            S_b = query.S
-            if registry is not None:
-                registry.counter(
-                    "reghd_cache_events_total",
-                    cache=cache_name,
-                    event="hit" if cache is not None else "miss",
-                ).inc()
+            query = S.slice(idx)
             sims = self._cluster_similarities(query)
             conf = self._confidences(sims)
             dots = self.runtime.model_dots(query, self._model_op)
             errors = y[idx] - self.runtime.weighted_prediction(conf, dots)
-            self._model_update(S_b, conf, errors)
-            self._cluster_update(S_b, sims)
+            self._model_update(query.S, conf, errors)
+            self._cluster_update(query.S, sims)
 
     def end_epoch(self) -> None:
         """Per-epoch re-binarisation of the dual copies (Fig. 5)."""
@@ -299,21 +257,6 @@ class MultiModelRegHD(BaseRegHDEstimator):
             self.clusters.rebinarize()
         if self.config.predict_quant.model_is_binary:
             self.models.rebinarize()
-
-    def begin_training(self, S: FloatArray) -> None:
-        """Trainer hook: build the epoch-spanning packed query cache."""
-        registry = _metrics.active()
-        if registry is not None:
-            registry.gauge("reghd_train_lr").set(self.config.lr)
-        self._train_cache = self.runtime.make_training_cache(
-            S,
-            cluster_quant=self.config.cluster_quant,
-            predict_quant=self.config.predict_quant,
-        )
-
-    def finish_training(self) -> None:
-        """Trainer hook: drop the epoch cache (the trainer always calls it)."""
-        self._train_cache = None
 
     # -- template hooks ------------------------------------------------------
 
@@ -325,11 +268,22 @@ class MultiModelRegHD(BaseRegHDEstimator):
 
     def _reset_learned_state(self) -> None:
         self._init_state()
+        registry = _metrics.active()
+        if registry is not None:
+            registry.gauge("reghd_train_lr").set(self.config.lr)
 
     def _after_partial_fit(self) -> None:
         self.end_epoch()
 
     def _encoded_operand(self, query: Query) -> Query:
+        """The query itself, with its packed words and scales derived up
+        front when a packed kernel will read them: every slice of it then
+        carries them, so a training run packs its rows once."""
+        cfg = self.config
+        if self.runtime.packs_similarities(
+            cfg.cluster_quant
+        ) or self.runtime.packs_dots(cfg.predict_quant):
+            query.words, query.scales  # the first read derives and caches
         return query
 
     # -- delta hooks ---------------------------------------------------------
@@ -467,8 +421,7 @@ class MultiModelRegHD(BaseRegHDEstimator):
             raise ConfigurationError(
                 f"temperature must be > 0, got {temperature}"
             )
-        S = self._encode_normalized(check_2d("X", X))
-        query = self._query(S)
+        query = self._encode_query(check_2d("X", X))
         sims = self._cluster_similarities(query)
         resp = self.runtime.confidences(sims, float(temperature))
         dots = self.runtime.model_dots(query, self._model_op)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.config import ConvergencePolicy
 from repro.metrics import mean_squared_error
+from repro.runtime.query import Query
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.timing import monotonic
 from repro.types import FloatArray, SeedLike
@@ -24,26 +25,24 @@ from repro.utils.rng import as_generator
 
 
 class TrainableOnEncoded(Protocol):
-    """What the trainer needs from a model: one epoch of updates + predict."""
+    """What the trainer needs from a model: one epoch of updates + predict.
 
-    def fit_epoch(self, S: FloatArray, y: FloatArray, order: np.ndarray) -> None:
+    ``S`` is the model's encoded operand: an encoded matrix, or the
+    :class:`~repro.runtime.Query` over one that a multi-model fit passes.
+    """
+
+    def fit_epoch(
+        self, S: FloatArray | Query, y: FloatArray, order: np.ndarray
+    ) -> None:
         """Run one pass of online/mini-batch updates in the given order."""
         ...  # pragma: no cover
 
-    def predict_encoded(self, S: FloatArray) -> FloatArray:
+    def predict_encoded(self, S: FloatArray | Query) -> FloatArray:
         """Predict targets for already-encoded hypervectors."""
         ...  # pragma: no cover
 
     def end_epoch(self) -> None:
         """Hook run after each pass (e.g. re-binarise quantised copies)."""
-        ...  # pragma: no cover
-
-    def begin_training(self, S: FloatArray) -> None:
-        """Hook run once before the first epoch (e.g. build operand caches)."""
-        ...  # pragma: no cover
-
-    def finish_training(self) -> None:
-        """Hook run once after the last epoch, even on divergence."""
         ...  # pragma: no cover
 
 
@@ -124,80 +123,69 @@ class IterativeTrainer:
     def train(
         self,
         model: TrainableOnEncoded,
-        S_train: FloatArray,
+        S_train: FloatArray | Query,
         y_train: FloatArray,
-        S_val: FloatArray | None = None,
+        S_val: FloatArray | Query | None = None,
         y_val: FloatArray | None = None,
     ) -> TrainingHistory:
         """Train ``model`` until the convergence policy fires.
 
-        Returns the per-epoch history; the model is updated in place.
+        ``S_train`` and ``S_val`` are handed to the model's
+        ``fit_epoch`` / ``predict_encoded`` unchanged.  Returns the
+        per-epoch history; the model is updated in place.
         """
         policy = self._policy
         history = TrainingHistory()
         plateau = 0
         previous = np.inf
         first = None
-        n = S_train.shape[0]
-        # Let the model prepare run-scoped kernel caches (e.g. the packed
-        # backend packs S_train once and serves every epoch from slices);
-        # the finally guarantees teardown even if an epoch raises.  The
-        # hooks are optional so minimal fit_epoch/predict_encoded models
-        # (ablation stubs, toy baselines) keep working unchanged.
-        begin = getattr(model, "begin_training", None)
-        finish = getattr(model, "finish_training", None)
-        if begin is not None:
-            begin(S_train)
+        n = len(y_train)
         registry = _metrics.active()
         if registry is not None:
             registry.counter("reghd_train_sessions_total").inc()
-        try:
-            for epoch in range(1, policy.max_epochs + 1):
-                epoch_start = monotonic() if registry is not None else 0.0
-                order = self._rng.permutation(n)
-                model.fit_epoch(S_train, y_train, order)
-                model.end_epoch()
-                train_mse = mean_squared_error(
-                    y_train, model.predict_encoded(S_train)
+        for epoch in range(1, policy.max_epochs + 1):
+            epoch_start = monotonic() if registry is not None else 0.0
+            order = self._rng.permutation(n)
+            model.fit_epoch(S_train, y_train, order)
+            model.end_epoch()
+            train_mse = mean_squared_error(
+                y_train, model.predict_encoded(S_train)
+            )
+            val_mse = None
+            if S_val is not None and y_val is not None:
+                val_mse = mean_squared_error(
+                    y_val, model.predict_encoded(S_val)
                 )
-                val_mse = None
-                if S_val is not None and y_val is not None:
-                    val_mse = mean_squared_error(
-                        y_val, model.predict_encoded(S_val)
-                    )
-                record = EpochRecord(epoch, train_mse, val_mse)
-                history.records.append(record)
-                if registry is not None:
-                    registry.counter("reghd_train_epochs_total").inc()
-                    registry.histogram(
-                        "reghd_train_epoch_seconds"
-                    ).observe(monotonic() - epoch_start)
-                    registry.gauge("reghd_train_last_mse").set(train_mse)
+            record = EpochRecord(epoch, train_mse, val_mse)
+            history.records.append(record)
+            if registry is not None:
+                registry.counter("reghd_train_epochs_total").inc()
+                registry.histogram("reghd_train_epoch_seconds").observe(
+                    monotonic() - epoch_start
+                )
+                registry.gauge("reghd_train_last_mse").set(train_mse)
 
-                monitored = record.monitored
-                if first is None:
-                    first = monitored
-                # Divergence guard: a learning rate past the LMS stability
-                # bound blows the MSE up geometrically — stop immediately
-                # instead of reporting a "plateau" at astronomical error.
-                if not np.isfinite(monitored) or (
-                    first > 0 and monitored > 1e6 * first
-                ):
-                    history.diverged = True
-                    break
-                # Relative improvement against the previous epoch; the first
-                # epoch always counts as an improvement.
-                denom = max(previous, np.finfo(float).tiny)
-                improvement = (previous - monitored) / denom
-                if np.isfinite(previous) and improvement < policy.tol:
-                    plateau += 1
-                else:
-                    plateau = 0
-                previous = monitored
-                if epoch >= policy.min_epochs and plateau >= policy.patience:
-                    history.converged = True
-                    break
-        finally:
-            if finish is not None:
-                finish()
+            monitored = record.monitored
+            if first is None:
+                first = monitored
+            # Divergence guard: a learning rate past the LMS stability
+            # bound blows the MSE up geometrically — stop immediately
+            # instead of reporting a "plateau" at astronomical error.
+            if not np.isfinite(monitored) or (
+                first > 0 and monitored > 1e6 * first
+            ):
+                history.diverged = True
+                break
+            # Relative improvement against the previous epoch; the first
+            # epoch always counts as an improvement.
+            denom = max(previous, np.finfo(float).tiny)
+            improvement = (previous - monitored) / denom
+            if np.isfinite(previous) and improvement < policy.tol:
+                plateau += 1
+            else:
+                plateau = 0
+            previous = monitored
+            if epoch >= policy.min_epochs and plateau >= policy.patience:
+                history.converged = True
+                break
         return history

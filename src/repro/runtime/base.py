@@ -90,22 +90,6 @@ class KernelBackend:
         backends that also implement ``encode_pack`` return True."""
         return False
 
-    # -- query plumbing ----------------------------------------------------
-
-    def make_training_cache(
-        self,
-        S: FloatArray,
-        *,
-        cluster_quant: ClusterQuant,
-        predict_quant: PredictQuant,
-    ) -> Query | None:
-        """Epoch-spanning training query; None when nothing to reuse.
-
-        The dense path recomputes per batch (bit-identical to the
-        historical inline arithmetic), so it returns None.
-        """
-        return None
-
     # -- forward kernels (Eqs. 5-6, Fig. 4) --------------------------------
 
     def cluster_similarities(
@@ -147,35 +131,21 @@ class KernelBackend:
     ) -> FloatArray:
         """The Eq.-4 LMS update term, returned rather than applied.
 
-        ``lms_update`` adds exactly this array in place, so callers that
-        route updates through the mergeable-delta sinks
-        (:meth:`repro.core.estimator.BaseRegHDEstimator._push_update`)
-        produce bit-identical models to the historical in-place path.
+        The caller lands it through a mergeable-delta sink
+        (:meth:`repro.core.estimator.BaseRegHDEstimator._push_update`),
+        which applies it and records it for shard merging.
         """
         return lr * (errors @ S) / len(S)
-
-    def lms_update(
-        self, model: FloatArray, errors: FloatArray, S: FloatArray, lr: float
-    ) -> None:
-        """In-place LMS step on a single model vector (Eq. 4)."""
-        model += self.lms_step(errors, S, lr)
 
     def weighted_model_step(
         self, weights: FloatArray, S: FloatArray, lr: float
     ) -> FloatArray:
         """The Eq.-7 batched update term, returned rather than applied.
 
-        ``weighted_model_update`` lands exactly this array on the dual
-        copy, so delta-sink callers stay bit-identical to the in-place
-        path.
+        The caller lands it on the model dual copy through a
+        mergeable-delta sink, as for :meth:`lms_step`.
         """
         return lr * (weights.T @ S) / S.shape[0]
-
-    def weighted_model_update(
-        self, models, weights: FloatArray, S: FloatArray, lr: float
-    ) -> None:
-        """Confidence-weighted batched model update (Eq. 7) into a DualCopy."""
-        models.update_all(self.weighted_model_step(weights, S, lr))
 
     def segment_delta(
         self, indices: np.ndarray, rows: FloatArray, k: int

@@ -90,7 +90,7 @@ class InstrumentedBackend(KernelBackend):
             "reghd_kernel_bytes_total", backend=backend, kernel=kernel
         ).inc(float(nbytes))
 
-    # -- capability probes / plumbing: delegated, not counted ---------------
+    # -- capability probes: delegated, not counted --------------------------
 
     def packs_similarities(self, cluster_quant) -> bool:
         """Delegate the packed-similarity capability probe."""
@@ -103,18 +103,6 @@ class InstrumentedBackend(KernelBackend):
     def fuses_encode(self, cluster_quant, predict_quant) -> bool:
         """Delegate the fused encode→pack capability probe."""
         return self.inner.fuses_encode(cluster_quant, predict_quant)
-
-    def make_training_cache(self, S, *, cluster_quant, predict_quant):
-        """Delegate cache construction; emits a cache ``build`` event."""
-        cache = self.inner.make_training_cache(
-            S, cluster_quant=cluster_quant, predict_quant=predict_quant
-        )
-        registry = _metrics.active()
-        if registry is not None and cache is not None:
-            registry.counter(
-                "reghd_cache_events_total", cache="query", event="build"
-            ).inc()
-        return cache
 
     # -- forward kernels -----------------------------------------------------
 
@@ -175,13 +163,6 @@ class InstrumentedBackend(KernelBackend):
         self._record("lms_step", errors.nbytes + S.nbytes + step.nbytes)
         return step
 
-    def lms_update(self, model, errors, S, lr):
-        """Count + delegate the in-place LMS step."""
-        self.inner.lms_update(model, errors, S, lr)
-        self._record(
-            "lms_update", model.nbytes + errors.nbytes + S.nbytes
-        )
-
     def weighted_model_step(self, weights, S, lr):
         """Count + delegate the returned Eq.-7 update term."""
         step = self.inner.weighted_model_step(weights, S, lr)
@@ -190,14 +171,6 @@ class InstrumentedBackend(KernelBackend):
             weights.nbytes + S.nbytes + step.nbytes,
         )
         return step
-
-    def weighted_model_update(self, models, weights, S, lr):
-        """Count + delegate the batched Eq.-7 model update."""
-        self.inner.weighted_model_update(models, weights, S, lr)
-        self._record(
-            "weighted_model_update",
-            operand_nbytes(models) + weights.nbytes + S.nbytes,
-        )
 
     def segment_delta(self, indices, rows, k):
         """Count + delegate the Eq.-8 segment accumulation."""

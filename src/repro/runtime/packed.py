@@ -21,13 +21,9 @@ extends with the fused encode→pack serving hook.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.runtime.quantization import ClusterQuant, PredictQuant
 from repro.runtime import kernels
 from repro.runtime.base import KernelBackend
-from repro.runtime.packing import pack_sign_words
-from repro.runtime.query import Query
 from repro.types import FloatArray
 
 
@@ -39,24 +35,6 @@ class PackedBackend(KernelBackend):
 
     def packs_dots(self, predict_quant: PredictQuant) -> bool:
         return predict_quant is PredictQuant.BINARY_BOTH
-
-    def make_training_cache(
-        self,
-        S: FloatArray,
-        *,
-        cluster_quant: ClusterQuant,
-        predict_quant: PredictQuant,
-    ) -> Query | None:
-        """Pack the training matrix once when any packed kernel will run."""
-        if self.packs_similarities(cluster_quant) or self.packs_dots(
-            predict_quant
-        ):
-            return Query(
-                S,
-                words=pack_sign_words(S),
-                scales=np.mean(np.abs(S), axis=1),
-            )
-        return None
 
     def cluster_similarities(self, query, clusters) -> FloatArray:
         if self.packs_similarities(clusters.quant):

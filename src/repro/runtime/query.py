@@ -7,11 +7,12 @@ the scale-preserving binarised matrix.  Derivations are lazy and cached,
 so a dense backend that only reads ``S`` never pays for packing, while
 the packed backend computes words exactly once per batch.
 
-The same reuse spans a whole training run: the trainer presents the same
-encoded matrix ``S`` every epoch, so
-:meth:`~repro.runtime.KernelBackend.make_training_cache` derives its
-packed words and scales once up front, and epoch batches are served as
-:meth:`Query.slice` row slices of that one query.
+The same reuse spans a whole training run: ``fit`` and ``partial_fit``
+encode each set of rows into one query, every mini-batch of every epoch
+is a :meth:`Query.slice` of it, and the per-epoch evaluation reads the
+derivations the whole query caches.  An estimator whose backend runs
+packed kernels derives the words and scales up front, so a fit packs its
+rows once.
 """
 
 from __future__ import annotations
@@ -107,15 +108,16 @@ class Query:
 
         Every array this query already holds is carried over as the same
         rows (each derivation depends on its row alone), so the batch
-        never re-derives what the whole query has computed.  A contiguous
-        ascending run of rows, such as a ``partial_fit`` mini-batch, is
-        taken as views instead of copies.
+        never re-derives what the whole query has computed; what the
+        slice derives later stays on the slice.  The whole batch in
+        order, such as a stream update's single mini-batch, is taken as
+        views; any other rows are copies, which train faster than views
+        into a large batch.
         """
+        n = len(self.S if self.S is not None else self._words)
         rows = idx
-        if len(idx) and np.array_equal(
-            idx, np.arange(idx[0], idx[0] + len(idx))
-        ):
-            rows = slice(idx[0], idx[0] + len(idx))
+        if len(idx) == n and np.array_equal(idx, np.arange(n)):
+            rows = slice(None)
 
         def pick(array: np.ndarray | None) -> np.ndarray | None:
             return None if array is None else array[rows]

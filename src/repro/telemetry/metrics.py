@@ -77,12 +77,6 @@ CATALOG: dict[str, tuple[str, str]] = {
         "counter",
         "Bytes moved through kernel operands (inputs + outputs).",
     ),
-    "reghd_cache_events_total": (
-        "counter",
-        "Operand-cache lookups, by cache name and hit/miss/build event "
-        "(query: the epoch-spanning training Query; encoded: a partial_fit "
-        "mini-batch sliced from the query passed as encoded=).",
-    ),
     "reghd_packed_words_rows_total": (
         "counter",
         "PackedWordsCache rows re-packed vs reused across refreshes.",
@@ -459,40 +453,6 @@ class Histogram:
             total += cell.sum
             n += cell.count
         return counts, total, n
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile by linear interpolation in buckets.
-
-        Standard Prometheus ``histogram_quantile`` semantics: find the
-        bucket where the cumulative count crosses ``q * count``, then
-        interpolate linearly between the bucket's bounds (the first
-        bucket's lower bound is 0, appropriate for the latency metrics
-        these histograms hold).  Returns NaN when the histogram is empty
-        *and* when every observation landed in the overflow (``+Inf``)
-        bucket — no finite bound brackets the data, so any number would
-        be fabricated; callers must treat NaN as "unknown", not 0.
-        When the quantile merely falls past the last finite bound but
-        finite-bucket data exists, the estimate clamps to that bound (a
-        lower bound on the true quantile).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-        counts, _, n = self.snapshot()
-        if n == 0 or int(counts[:-1].sum()) == 0:
-            return float("nan")
-        target = q * n
-        cumulative = np.cumsum(counts)
-        idx = int(np.searchsorted(cumulative, target, side="left"))
-        if idx >= len(self.uppers):
-            return float(self.uppers[-1])
-        lower = 0.0 if idx == 0 else float(self.uppers[idx - 1])
-        upper = float(self.uppers[idx])
-        in_bucket = int(counts[idx])
-        if in_bucket == 0:
-            return upper
-        below = int(cumulative[idx]) - in_bucket
-        fraction = (target - below) / in_bucket
-        return lower + fraction * (upper - lower)
 
 
 class MetricsRegistry:

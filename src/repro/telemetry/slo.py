@@ -351,19 +351,6 @@ def render_top(snapshot: dict) -> str:
             )
     else:
         lines.append("  (no SLO gate attached)")
-    caches = snapshot.get("caches") or []
-    if caches:
-        lines.append("")
-        lines.append("  caches")
-        for entry in caches:
-            hits = int(entry.get("hits", 0))
-            misses = int(entry.get("misses", 0))
-            total = hits + misses
-            rate = hits / total if total else 0.0
-            lines.append(
-                f"    {entry.get('cache', '?'):<12}"
-                f"{hits}/{total} hits ({rate:6.1%})"
-            )
     kernels = snapshot.get("kernels") or []
     if kernels:
         lines.append("")
@@ -377,26 +364,14 @@ def render_top(snapshot: dict) -> str:
 
 
 def registry_console_stats(registry: metrics.MetricsRegistry) -> dict:
-    """Cache and kernel sections for a snapshot, from live counters."""
-    caches: dict[str, dict[str, int]] = {}
+    """The kernel section for a snapshot, from live counters."""
     kernels: dict[str, int] = {}
     for metric in registry.metrics():
-        labels = dict(metric.labels)
-        if metric.name == "reghd_cache_events_total":
-            entry = caches.setdefault(
-                labels.get("cache", "?"), {"hits": 0, "misses": 0}
-            )
-            if labels.get("event") == "hit":
-                entry["hits"] += int(metric.value)
-            elif labels.get("event") == "miss":
-                entry["misses"] += int(metric.value)
-        elif metric.name == "reghd_kernel_calls_total":
+        if metric.name == "reghd_kernel_calls_total":
+            labels = dict(metric.labels)
             key = f"{labels.get('backend', '?')}/{labels.get('kernel', '?')}"
             kernels[key] = kernels.get(key, 0) + int(metric.value)
     return {
-        "caches": [
-            {"cache": name, **entry} for name, entry in sorted(caches.items())
-        ],
         "kernels": [
             {"kernel": name, "calls": calls}
             for name, calls in sorted(kernels.items())

@@ -221,7 +221,8 @@ class TestQueryConsistency:
         _ = whole.binarized, whole.words  # derive every array before slicing
         start = int(rng.integers(0, n))
         run = np.arange(start, n)
-        for idx in (rng.permutation(n)[: max(1, n // 2)], run):
+        everything = np.arange(n)
+        for idx in (rng.permutation(n)[: max(1, n // 2)], run, everything):
             sliced = whole.slice(idx)
             fresh = Query(S[idx])
             np.testing.assert_array_equal(sliced.S, S[idx])
@@ -229,12 +230,20 @@ class TestQueryConsistency:
             np.testing.assert_array_equal(sliced.words, fresh.words)
             np.testing.assert_array_equal(sliced.scales, fresh.scales)
             np.testing.assert_array_equal(sliced.binarized, fresh.binarized)
-        # a contiguous ascending run is taken as views, not copies
-        sliced = whole.slice(run)
-        for name in ("S", "signs", "words", "scales", "binarized"):
+        names = ("S", "signs", "words", "scales", "binarized")
+        # the whole batch in order is taken as views ...
+        sliced = whole.slice(everything)
+        for name in names:
             assert np.shares_memory(
                 getattr(sliced, name), getattr(whole, name)
             ), name
+        # ... and a partial run as copies
+        if n > 1:
+            sliced = whole.slice(np.arange(1, n))
+            for name in names:
+                assert not np.shares_memory(
+                    getattr(sliced, name), getattr(whole, name)
+                ), name
 
 
 class TestCacheBlockedPopcount:

@@ -494,7 +494,7 @@ class TestTelemetry:
         text = metrics_path.read_text()
         assert "reghd_kernel_calls_total{" in text
         assert "reghd_serving_latency_seconds_bucket{" in text
-        assert "reghd_cache_events_total{" in text
+        assert "reghd_stream_batches_total" in text
         # at least one reliability counter (acceptance criterion)
         assert "reghd_checkpoint_writes_total" in text
 

@@ -1,5 +1,7 @@
 """Tests for multi-model RegHD (paper Sec. 2.4 + Sec. 3 quantisation)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.core.quantization import ClusterQuant, PredictQuant
 from repro.encoding.nonlinear import NonlinearEncoder
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.metrics import mean_squared_error, r2_score
+from repro.ops.quantize import bipolarize
+from repro.runtime.packing import pack_sign_words
 
 
 @pytest.fixture
@@ -241,6 +245,51 @@ class TestQuantizedConfigs:
         for row in effective:
             nonzero = row[row != 0]
             assert len(np.unique(np.abs(nonzero))) <= 1
+
+
+class TestOneTrainingQuery:
+    """``fit`` trains on one query per set of rows: mini-batches slice it
+    and the per-epoch evaluation reuses what it derives."""
+
+    @pytest.mark.parametrize("backend", ["dense", "packed_v2"])
+    def test_fit_derives_each_row_once_per_query(
+        self, tiny_regression, backend
+    ):
+        X, y, _, _ = tiny_regression
+        n = len(y)  # 200 rows
+        rows = {"bipolarize": 0, "pack_sign_words": 0}
+
+        def counted(fn):
+            def wrapper(S):
+                rows[fn.__name__] += len(S)
+                return fn(S)
+
+            return wrapper
+
+        model = MultiModelRegHD(
+            5,
+            RegHDConfig(
+                dim=256,
+                n_models=4,
+                seed=0,
+                backend=backend,
+                cluster_quant=ClusterQuant.FRAMEWORK,
+                predict_quant=PredictQuant.BINARY_QUERY,
+                convergence=ConvergencePolicy(max_epochs=4, min_epochs=4),
+            ),
+        )
+        with mock.patch(
+            "repro.runtime.query.bipolarize", counted(bipolarize)
+        ), mock.patch(
+            "repro.runtime.query.pack_sign_words", counted(pack_sign_words)
+        ):
+            model.fit(X, y)
+        assert model.history_.n_epochs == 4
+        # The first epoch's mini-batches derive their own signs, the
+        # first evaluation derives the whole query's, and every later
+        # mini-batch slices them; the packed backend packs the rows once.
+        assert rows["bipolarize"] == 2 * n
+        assert rows["pack_sign_words"] == (n if backend == "packed_v2" else 0)
 
 
 class TestPartialFit:

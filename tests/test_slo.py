@@ -198,7 +198,6 @@ def _snapshot(**overrides) -> dict:
             {"gate": "latency_ms", "burn_rate": 1.6, "bad": 8, "total": 50,
              "breaching": True},
         ],
-        "caches": [{"cache": "plan", "hits": 9, "misses": 1}],
         "kernels": [{"kernel": "dense/encode", "calls": 42}],
     }
     base.update(overrides)
@@ -214,7 +213,6 @@ class TestRenderTop:
         assert "rmse" in frame and "latency_ms" in frame
         assert "BREACH" in frame  # only the breaching gate
         assert frame.count("BREACH") == 1
-        assert "9/10 hits" in frame
         assert "dense/encode" in frame
 
     def test_burn_bar_fills_and_overflows(self):

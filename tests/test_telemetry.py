@@ -26,7 +26,6 @@ from repro.core.config import RegHDConfig
 from repro.core.multi import MultiModelRegHD
 from repro.core.quantization import ClusterQuant, PredictQuant
 from repro.exceptions import ConfigurationError
-from repro.streaming import StreamingRegHD
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import _NULL_SPAN
@@ -160,64 +159,6 @@ class TestHistogramEdges:
         assert 'reghd_train_epoch_seconds_bucket{le="2"} 4' in text
         assert 'reghd_train_epoch_seconds_bucket{le="+Inf"} 5' in text
         assert "reghd_train_epoch_seconds_count 5" in text
-
-
-class TestHistogramQuantile:
-    """Prometheus histogram_quantile semantics on the bucket counts."""
-
-    def _hist(self, buckets=(1.0, 2.0, 4.0)):
-        return MetricsRegistry().histogram("h", buckets=buckets)
-
-    def test_empty_histogram_is_nan(self):
-        import math
-
-        assert math.isnan(self._hist().quantile(0.5))
-
-    def test_interpolates_within_a_bucket(self):
-        hist = self._hist()
-        for v in (0.5, 1.5, 1.6, 3.0):
-            hist.observe(v)
-        # Median target = 2 of 4; cumulative crosses in bucket (1, 2].
-        assert hist.quantile(0.5) == pytest.approx(1.5)
-
-    def test_first_bucket_interpolates_from_zero(self):
-        hist = self._hist()
-        hist.observe(0.5)
-        hist.observe(0.5)
-        assert 0.0 < hist.quantile(0.5) <= 1.0
-
-    def test_overflow_only_data_is_nan(self):
-        # Every observation landed past the last finite bound: the
-        # quantile is unknowable from the buckets, and clamping to the
-        # last bound would fabricate a misleadingly small number.
-        import math
-
-        hist = self._hist()
-        for _ in range(10):
-            hist.observe(100.0)
-        assert math.isnan(hist.quantile(0.99))
-
-    def test_overflow_clamps_when_finite_data_exists(self):
-        # With finite-bucket data present the tail quantile still clamps
-        # to the last finite bound (standard histogram_quantile).
-        hist = self._hist()
-        hist.observe(0.5)
-        for _ in range(10):
-            hist.observe(100.0)
-        assert hist.quantile(0.99) == 4.0
-
-    def test_quantiles_are_monotone(self):
-        hist = self._hist()
-        for v in (0.2, 0.7, 1.3, 1.9, 2.5, 3.8):
-            hist.observe(v)
-        qs = [hist.quantile(q) for q in (0.1, 0.5, 0.9, 1.0)]
-        assert qs == sorted(qs)
-
-    def test_invalid_q_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            self._hist().quantile(1.5)
 
 
 class TestThreadSafety:
@@ -583,42 +524,6 @@ class TestTrainingAndCacheMetrics:
         assert n == epochs
         assert reg.gauge("reghd_train_lr").value == model.config.lr
         assert reg.gauge("reghd_train_last_mse").value >= 0
-        hits = reg.counter(
-            "reghd_cache_events_total", cache="query", event="hit"
-        ).value
-        builds = reg.counter(
-            "reghd_cache_events_total", cache="query", event="build"
-        ).value
-        assert builds >= 1  # begin_training built the epoch cache
-        assert hits >= 1  # every batch after that served from it
-
-    @pytest.mark.parametrize("backend", ["dense", "packed_v2"])
-    def test_stream_reuse_counts_under_encoded(
-        self, tiny_regression, backend
-    ):
-        """A stream update trains on its prequential query: that reuse is
-        counted as ``cache="encoded"``, never as a ``cache="query"`` hit."""
-        X_train, y_train, _, _ = tiny_regression
-        reg = telemetry.enable()
-        stream = StreamingRegHD(
-            X_train.shape[1],
-            RegHDConfig(dim=128, n_models=2, seed=0, batch_size=8,
-                        backend=backend),
-        )
-        for rows in (slice(0, 16), slice(16, 32), slice(32, 52)):
-            stream.update(X_train[rows], y_train[rows])
-
-        def count(cache, event):
-            return reg.counter(
-                "reghd_cache_events_total", cache=cache, event=event
-            ).value
-
-        # first batch: no prequential query, no cache -> two query misses
-        assert count("query", "miss") == 2
-        assert count("query", "hit") == 0
-        # later batches: 2 + 3 mini-batches sliced from the shared query
-        assert count("encoded", "hit") == 5
-        assert count("encoded", "miss") == 0
 
 
 class TestServingMetrics:
