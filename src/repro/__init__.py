@@ -14,8 +14,8 @@ Yin and Imani.  The package provides:
 * :mod:`repro.datasets` — seeded synthetic surrogates of the seven UCI
   evaluation datasets;
 * :mod:`repro.engine` — the packed-binary inference engine: fitted
-  models compile to frozen :class:`CompiledPlan` s executing tiled,
-  multi-threaded XOR + popcount prediction (:func:`compile_model`);
+  models compile to frozen :class:`CompiledPlan` s executing tiled
+  XOR + popcount prediction (:func:`compile_model`);
 * :mod:`repro.hardware` — the analytic operation-count cost model behind
   the efficiency figures;
 * :mod:`repro.noise` — fault injection for the robustness claims;

@@ -129,14 +129,6 @@ class RegHDConfig:
         reproducible across machines.  Affects *how* kernels execute, not
         what they compute — it is serialised for provenance but a loaded
         model may run under a different backend.
-    telemetry:
-        Observability pin (see :mod:`repro.telemetry`).  ``True`` enables
-        the process-wide metrics sink when the model is constructed,
-        ``False`` disables it, and ``None`` (the default) leaves the sink
-        as-is — governed by :func:`repro.telemetry.enable` and the
-        ``REPRO_TELEMETRY`` environment variable.  Like ``backend`` it
-        changes *measurement*, never results: predictions are
-        bit-identical either way.
     """
 
     dim: int = 4000
@@ -152,7 +144,6 @@ class RegHDConfig:
     convergence: ConvergencePolicy = field(default_factory=ConvergencePolicy)
     seed: int | None = 0
     backend: str | None = None
-    telemetry: bool | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -198,13 +189,6 @@ class RegHDConfig:
                 raise ConfigurationError(
                     f"{exc} (from RegHDConfig.backend)"
                 ) from None
-        if self.telemetry is not None and not isinstance(
-            self.telemetry, bool
-        ):
-            raise ConfigurationError(
-                f"telemetry must be True, False or None, got "
-                f"{self.telemetry!r}"
-            )
 
     def with_overrides(self, **changes: Any) -> "RegHDConfig":
         """Return a copy with the given fields replaced (frozen-safe)."""
@@ -231,7 +215,6 @@ class RegHDConfig:
             },
             "seed": self.seed,
             "backend": self.backend,
-            "telemetry": self.telemetry,
         }
 
     @classmethod
@@ -241,7 +224,9 @@ class RegHDConfig:
         Tolerates the legacy v1 file format, which omitted
         ``encoder_base`` / ``encoder_scale`` / ``convergence`` (those
         fall back to their defaults — they only affect *training*, not
-        the restored learned state).
+        the restored learned state), and ignores the ``telemetry`` key
+        older files carry: whether telemetry runs is the process's
+        choice, never a saved model's.
         """
         convergence = ConvergencePolicy(**meta["convergence"]) if (
             "convergence" in meta
@@ -265,10 +250,5 @@ class RegHDConfig:
             seed=None if meta.get("seed") is None else int(meta["seed"]),
             backend=(
                 None if meta.get("backend") is None else str(meta["backend"])
-            ),
-            telemetry=(
-                None
-                if meta.get("telemetry") is None
-                else bool(meta["telemetry"])
             ),
         )

@@ -604,18 +604,31 @@ class BaseRegHDEstimator(BaseEstimator):
         X_arr = check_2d("X", X)
         y_arr = check_1d("y", y)
         check_matching_lengths("X", X_arr, "y", y_arr)
-
-        self._record_targets(y_arr)
-        y_train = self._prepare_fit_targets(y_arr)
-        S = self._encoded_operand(self._encode_query(X_arr))
-        S_val = None
-        y_val_train = None
+        query = self._encode_query(X_arr)
+        val = None
         if X_val is not None and y_val is not None:
             X_val_arr = check_2d("X_val", X_val)
             y_val_arr = check_1d("y_val", y_val)
             check_matching_lengths("X_val", X_val_arr, "y_val", y_val_arr)
-            S_val = self._encoded_operand(self._encode_query(X_val_arr))
-            y_val_train = self._transform_targets(y_val_arr)
+            val = (self._encode_query(X_val_arr), y_val_arr)
+        return self._fit_query(query, y_arr, val)
+
+    def _fit_query(
+        self,
+        query: Query,
+        y: FloatArray,
+        val: tuple[Query, FloatArray] | None = None,
+    ):
+        """The part of :meth:`fit` after encoding: train on ``query`` (the
+        encoded rows of ``y``), monitoring the encoded ``val`` pair if
+        given.  A composite estimator hands several models one query."""
+        self._record_targets(y)
+        y_train = self._prepare_fit_targets(y)
+        S = self._encoded_operand(query)
+        S_val = y_val_train = None
+        if val is not None:
+            S_val = self._encoded_operand(val[0])
+            y_val_train = self._transform_targets(val[1])
 
         self._reset_learned_state()
         trainer = IterativeTrainer(

@@ -104,10 +104,6 @@ class MultiModelRegHD(BaseRegHDEstimator):
         if overrides:
             base = base.with_overrides(**overrides)
         self.config = base
-        # A config telemetry pin flips the process-wide sink before the
-        # backend resolves, so the instrumentation decision below sees it.
-        if base.telemetry is not None:
-            _metrics.set_enabled(base.telemetry)
         # Kernel backend executing every similarity/dot/update below; the
         # config pin wins over the REPRO_BACKEND environment default.
         self.runtime = resolve_backend(base.backend)
@@ -332,8 +328,6 @@ class MultiModelRegHD(BaseRegHDEstimator):
         *,
         backend: str | None = None,
         tile_rows: int | None = None,
-        n_workers: int = 1,
-        rematerialize: bool = False,
     ) -> "CompiledPlan":
         """Freeze the fitted model into an immutable inference plan.
 
@@ -341,20 +335,13 @@ class MultiModelRegHD(BaseRegHDEstimator):
         effective cluster/model hypervectors — bit-packing the binary
         operands so the quantised similarity search and fully-binary dot
         products run as XOR + popcount — and executes batches through the
-        tiled, optionally multi-threaded engine.  See
-        :func:`repro.engine.compile_model` for the knobs, including the
-        ``backend`` serving-backend selection and the ``rematerialize``
-        seed-provenance memory trade.
+        tiled engine in the calling thread.  See
+        :func:`repro.engine.compile_model` for the ``backend``
+        serving-backend selection and the ``tile_rows`` tile height.
         """
         from repro.engine import compile_model
 
-        return compile_model(
-            self,
-            backend=backend,
-            tile_rows=tile_rows,
-            n_workers=n_workers,
-            rematerialize=rematerialize,
-        )
+        return compile_model(self, backend=backend, tile_rows=tile_rows)
 
     def cluster_assignments(self, X: ArrayLike) -> np.ndarray:
         """Index of the most similar cluster centre per input row."""

@@ -4,11 +4,10 @@ Many IoT problems predict several quantities at once (multi-horizon
 forecasts, multi-sensor calibration).  RegHD extends naturally: the
 expensive part — encoding — depends only on the input, so one encoder is
 shared and each output dimension gets its own cluster/model hypervector
-pair set.  ``partial_fit`` and ``predict`` encode each batch once and
-hand every head the same :class:`~repro.runtime.Query`, so their cost is
-`encode once + outputs × (search + update)`, versus `outputs ×`
-everything for naive per-output models.  ``fit`` still lets each head
-encode its own copy of the training (and validation) rows.
+pair set.  ``fit``, ``partial_fit`` and ``predict`` encode each set of
+rows once and hand every head the same :class:`~repro.runtime.Query`, so
+their cost is `encode once + outputs × (search + update)`, versus
+`outputs ×` everything for naive per-output models.
 
 As a composite estimator this class extends
 :class:`~repro.core.estimator.BaseEstimator` directly: its state is the
@@ -136,20 +135,22 @@ class MultiOutputRegHD(BaseEstimator):
         X_val: ArrayLike | None = None,
         Y_val: ArrayLike | None = None,
     ) -> "MultiOutputRegHD":
-        """Train every output head (shared encodings, per-head targets)."""
+        """Train every output head on one shared encoding of the training
+        (and validation) rows, each with its own targets."""
         X_arr = check_2d("X", X)
         Y_arr = self._validate_targets(X_arr, Y)
-        Y_val_arr = None
-        X_val_arr = None
+        encode = self.heads[0]._encode_query
+        query = encode(X_arr)
+        val = None
         if X_val is not None and Y_val is not None:
             X_val_arr = check_2d("X_val", X_val)
             Y_val_arr = self._validate_targets(X_val_arr, Y_val)
+            val = (encode(X_val_arr), Y_val_arr)
         for output, head in enumerate(self.heads):
-            head.fit(
-                X_arr,
+            head._fit_query(
+                query,
                 Y_arr[:, output],
-                X_val=X_val_arr,
-                y_val=None if Y_val_arr is None else Y_val_arr[:, output],
+                None if val is None else (val[0], val[1][:, output]),
             )
         self._fitted = True
         return self

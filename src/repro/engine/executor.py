@@ -1,32 +1,21 @@
-"""Tiled, multi-threaded execution of a :class:`CompiledPlan`.
+"""Tiled execution of a :class:`CompiledPlan` in the calling thread.
 
 A batch is cut into row tiles; every tile flows through the fused
 pipeline (encode → similarity → softmax → dot products → accumulate)
 entirely inside one preallocated :class:`~repro.engine.kernels.TileScratch`,
-so peak memory is ``n_workers`` scratch sets plus the output vector — a
-million-row batch costs no more transient memory than one tile per
-worker.
+so peak memory is one scratch set plus the output vector — a
+million-row batch costs no more transient memory than one tile.  Each
+call allocates its own scratch, so concurrent callers share nothing
+mutable.
 
 Plans whose backend fuses encode→pack (``plan.fused_encode``) skip the
 float pipeline entirely: raw feature rows become packed ``uint64`` sign
 words plus per-row scales in one kernel, and the ``(tile, D)`` float
 encoding is never materialised.
-
-Tiles write disjoint slices of the shared output array, so fanning them
-out over a thread pool needs no locking; BLAS, the trig ufuncs and the
-packed popcount kernels all release the GIL on tile-sized arrays.  The
-pool is a persistent process-wide singleton (spawning threads per
-predict call made small batches *slower* than the sequential loop), and
-batches below a measured rows×words cutoff bypass it entirely — the
-multi-threaded path is never dispatched where it cannot win.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,51 +37,6 @@ from repro.types import FloatArray
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.plan import CompiledPlan
 
-#: below this many rows × uint64 words per batch, thread fan-out costs
-#: more than it saves and the sequential loop runs instead (measured on
-#: the benchmark config: dispatch+sync overhead crosses kernel time
-#: around 2M word-elements).
-MT_MIN_ROWS_X_WORDS = 1 << 21
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The persistent serving pool, created once per process.
-
-    Sized at ``os.cpu_count()`` threads; per-call concurrency is bounded
-    by the scratch queue, not the pool size, so one pool serves every
-    plan regardless of its ``n_workers``.
-    """
-    global _pool
-    if _pool is None:
-        with _pool_lock:
-            if _pool is None:
-                _pool = ThreadPoolExecutor(
-                    max_workers=max(2, os.cpu_count() or 1),
-                    thread_name_prefix="repro-serve",
-                )
-    return _pool
-
-
-def _effective_workers(n_workers: int, n_tiles: int, n: int, dim: int) -> int:
-    """Thread count actually worth using for this batch.
-
-    Falls back to the sequential loop when the host has one core, the
-    batch has one tile, or the total work is below the measured
-    :data:`MT_MIN_ROWS_X_WORDS` cutoff, where per-call thread dispatch
-    would make small batches slower than single-threaded execution.
-    """
-    workers = min(n_workers, n_tiles)
-    if workers <= 1:
-        return 1
-    if (os.cpu_count() or 1) <= 1:
-        return 1
-    if n * max(1, (dim + 63) // 64) < MT_MIN_ROWS_X_WORDS:
-        return 1
-    return workers
-
 
 def _run_tile(
     plan: "CompiledPlan",
@@ -106,11 +50,10 @@ def _run_tile(
 ) -> None:
     """Run one row tile through the fused pipeline into ``out[lo:hi]``.
 
-    ``trace`` is a captured ``(tracer, ctx)`` pair: contextvars do not
-    propagate into the serving pool's threads, so :func:`execute_plan`
-    snapshots the open trace context once and each tile attaches its
-    stage records explicitly.  The clock is read through the timing
-    module so a single monkeypatch pins every span timestamp.
+    ``trace`` is the ``(tracer, ctx)`` pair :func:`execute_plan` captured
+    once per call; each tile attaches its stage records to it.  The clock
+    is read through the timing module so a single monkeypatch pins every
+    span timestamp.
     """
     X_tile = X[lo:hi]
     # Serving latency split by stage; `registry is None` is the entire
@@ -205,7 +148,7 @@ def _run_tile(
 
 def execute_plan(plan: "CompiledPlan", X: FloatArray) -> FloatArray:
     """Predict a full batch through the tiled pipeline, in
-    ``plan.tile_rows``-row tiles on up to ``plan.n_workers`` threads."""
+    ``plan.tile_rows``-row tiles on one scratch set."""
     n = X.shape[0]
     out = np.empty(n, dtype=np.float64)
     if n == 0:
@@ -214,43 +157,11 @@ def execute_plan(plan: "CompiledPlan", X: FloatArray) -> FloatArray:
     if registry is not None:
         registry.counter("reghd_serving_rows_total").inc(n)
     tile_rows = plan.tile_rows
-    spans = [
-        (lo, min(lo + tile_rows, n)) for lo in range(0, n, tile_rows)
-    ]
-    # Rematerialised plans regenerate the projection here — once per
-    # call, shared read-only by every tile.
     enc = plan.encoder_operands()
-    workers = _effective_workers(plan.n_workers, len(spans), n, plan.dim)
-
-    # Snapshot the open trace once; worker threads receive it by value
-    # (contextvars do not cross the persistent pool's threads).
     tracer = _tracing.active_tracer()
     ctx = _tracing.current() if tracer is not None else None
     trace = (tracer, ctx) if ctx is not None else None
-
-    if workers == 1:
-        scratch = TileScratch(
-            min(tile_rows, n), plan.dim, fused=plan.fused_encode
-        )
-        for lo, hi in spans:
-            _run_tile(plan, X, lo, hi, out, scratch, enc, trace)
-        return out
-
-    # One scratch set per worker, recycled through a queue; tiles write
-    # disjoint output slices so no further synchronisation is needed.
-    scratch_pool: queue.SimpleQueue[TileScratch] = queue.SimpleQueue()
-    for _ in range(workers):
-        scratch_pool.put(
-            TileScratch(tile_rows, plan.dim, fused=plan.fused_encode)
-        )
-
-    def _job(span: tuple[int, int]) -> None:
-        scratch = scratch_pool.get()
-        try:
-            _run_tile(plan, X, span[0], span[1], out, scratch, enc, trace)
-        finally:
-            scratch_pool.put(scratch)
-
-    # list() drains the iterator so worker exceptions propagate.
-    list(_worker_pool().map(_job, spans))
+    scratch = TileScratch(min(tile_rows, n), plan.dim, fused=plan.fused_encode)
+    for lo in range(0, n, tile_rows):
+        _run_tile(plan, X, lo, min(lo + tile_rows, n), out, scratch, enc, trace)
     return out

@@ -3,9 +3,7 @@
 Each helper operates on one row tile of a batch and writes its large
 intermediates into caller-provided scratch buffers, so a tile's peak
 memory is a fixed number of ``(tile_rows, D)`` arrays no matter how many
-rows the full batch has.  Numpy's ufuncs and BLAS release the GIL on
-arrays of this size, which is what lets the executor fan tiles out over a
-thread pool.
+rows the full batch has.
 
 This module owns only the *query-side preparation* — norms,
 binarisation scales, sign matrices and packed words derived into
@@ -27,7 +25,7 @@ from repro.types import FloatArray
 
 
 class TileScratch:
-    """Preallocated buffers for one in-flight tile (one set per worker).
+    """Preallocated buffers for one in-flight tile (one set per call).
 
     ``fused=True`` builds the block-sized buffers of the fused
     encode→pack pipeline *instead of* the full ``(tile_rows, dim)`` float

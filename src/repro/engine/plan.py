@@ -55,37 +55,7 @@ from repro.runtime import (
 )
 from repro.telemetry import metrics as _metrics
 from repro.types import ArrayLike, FloatArray
-from repro.utils.rng import derive_generator
 from repro.utils.validation import check_2d
-
-
-@dataclass(frozen=True)
-class EncoderSpec:
-    """Seed provenance of a :class:`NonlinearEncoder`, in place of its arrays.
-
-    A rematerialised plan (``compile_model(..., rematerialize=True)``)
-    stores this spec instead of the frozen ``(in_features, dim)``
-    projection matrix; :meth:`materialize` re-draws bit-identical bases
-    and phases from the seeded RNG at execution time — trading a cheap
-    regeneration per predict call for most of the plan's memory (the
-    Schmuck et al. rematerialisation trade, PAPERS.md).
-    """
-
-    in_features: int
-    dim: int
-    seed: int
-    base: str
-    scale: float | None
-
-    def materialize(self) -> NonlinearEncoder:
-        """Re-draw the encoder exactly as the model constructor did."""
-        return NonlinearEncoder(
-            self.in_features,
-            self.dim,
-            derive_generator(self.seed, 0),
-            base=self.base,
-            scale=self.scale,
-        )
 
 
 class RefreshStats(dict):
@@ -150,22 +120,17 @@ class CompiledPlan:
     packed_sims: bool
     packed_dots: bool
     tile_rows: int
-    n_workers: int
     #: the kernel backend the executor dispatches through
     backend: KernelBackend
     #: frozen cluster-search operands (Eq. 5 or its Hamming replacement)
     cluster_op: FrozenClusterOperand
     #: frozen model dot-product operands (Eq. 6 under the Sec.-3.2 scheme)
     model_op: FrozenModelOperand
-    # encoder snapshot (fast fused path) or opaque fallback encoder
-    enc_bases: FloatArray | None = field(default=None)
-    enc_phases: FloatArray | None = field(default=None)
-    enc_scale: float = 1.0
+    #: projection snapshot of a :class:`NonlinearEncoder` (with
+    #: ``sin(phases)`` for the fused single-trig encode), else ``None``
+    enc_operands: EncoderOperands | None = field(default=None)
+    #: opaque fallback encoder, for any other encoder type
     encoder: Encoder | None = field(default=None)
-    #: precomputed ``sin(phases)`` for the fused single-trig encode
-    enc_sin_phases: FloatArray | None = field(default=None)
-    #: seed provenance replacing the stored projection (rematerialize=True)
-    enc_spec: "EncoderSpec | None" = field(default=None)
     #: whether serving runs the fused encode→pack pipeline
     fused_encode: bool = field(default=False)
     #: weak reference to the model the lineage was compiled from
@@ -209,51 +174,18 @@ class CompiledPlan:
         return unpacked_sign_search or unpacked_binary_query
 
     @property
-    def rematerialized(self) -> bool:
-        """Whether the encoder operands regenerate from the seeded RNG."""
-        return self.enc_spec is not None
-
-    @property
     def nbytes(self) -> int:
-        """Total bytes held by the plan's operand arrays.
-
-        A rematerialised plan stores no projection matrix, so its count
-        drops to the cluster/model operands plus scalars — the memory
-        the ``rematerialize=True`` trade actually saves.
-        """
-        total = 0
-        for arr in (self.enc_bases, self.enc_phases, self.enc_sin_phases):
-            if arr is not None:
-                total += arr.nbytes
-        for arr in self.cluster_op.arrays + self.model_op.arrays:
-            total += arr.nbytes
-        return total
+        """Total bytes held by the plan's operand arrays."""
+        arrays = self.cluster_op.arrays + self.model_op.arrays
+        if self.enc_operands is not None:
+            enc = self.enc_operands
+            arrays += (enc.bases, enc.phases, enc.sin_phases)
+        return sum(arr.nbytes for arr in arrays if arr is not None)
 
     def encoder_operands(self) -> EncoderOperands | None:
-        """Projection operands for this predict call, stored or re-drawn.
-
-        Returns ``None`` for plans serving an opaque fallback encoder.
-        Rematerialised plans regenerate bases/phases from
-        :class:`EncoderSpec` here — once per :func:`execute_plan` call,
-        shared by every tile, dropped afterwards.
-        """
-        if self.enc_bases is not None:
-            return EncoderOperands(
-                self.enc_bases,
-                self.enc_phases,
-                self.enc_scale,
-                self.enc_sin_phases,
-            )
-        if self.enc_spec is None:
-            return None
-        encoder = self.enc_spec.materialize()
-        registry = _metrics.active()
-        if registry is not None:
-            registry.counter("reghd_plan_rematerializations_total").inc()
-        bases = np.asarray(encoder.bases)
-        phases = np.asarray(encoder.phases)
-        sin_phases = np.sin(phases) if self.fused_encode else None
-        return EncoderOperands(bases, phases, self.enc_scale, sin_phases)
+        """The stored projection operands each predict call encodes with
+        (``None`` for plans serving an opaque fallback encoder)."""
+        return self.enc_operands
 
     # -- incremental refresh ------------------------------------------------
 
@@ -334,7 +266,7 @@ class CompiledPlan:
         <repro.core.multi.MultiModelRegHD.predict>` on the model state at
         compile time (bit-exact packed similarity scores; predictions
         match to float rounding).  Runs in the compile-time ``tile_rows``
-        tiles on up to ``n_workers`` threads.
+        tiles, in the calling thread.
         """
         from repro.engine.executor import execute_plan
 
@@ -353,8 +285,7 @@ class CompiledPlan:
             f"CompiledPlan(in_features={self.in_features}, dim={self.dim}, "
             f"k={self.n_models}, cluster_quant={self.cluster_quant.value}, "
             f"predict_quant={self.predict_quant.value}, "
-            f"backend={'+'.join(stages)}, tile_rows={self.tile_rows}, "
-            f"n_workers={self.n_workers})"
+            f"backend={'+'.join(stages)}, tile_rows={self.tile_rows})"
         )
 
 
@@ -406,8 +337,6 @@ def compile_model(
     *,
     backend: "KernelBackend | str | None" = None,
     tile_rows: int | None = None,
-    n_workers: int = 1,
-    rematerialize: bool = False,
 ) -> CompiledPlan:
     """Compile a fitted :class:`MultiModelRegHD` into a :class:`CompiledPlan`.
 
@@ -427,27 +356,16 @@ def compile_model(
         variable, then the automatic choice: ``packed_v2`` exactly where
         a stage benefits from it.
     tile_rows:
-        Rows per execution tile.  ``None`` sizes tiles so one worker's
-        scratch stays near 24 MiB (:func:`auto_tile_rows`).
-    n_workers:
-        Thread count for :meth:`CompiledPlan.predict`.  ``1`` runs the
-        single-threaded fallback loop with one scratch set.
-    rematerialize:
-        Store the encoder's *seed provenance* instead of its projection
-        matrix: :meth:`CompiledPlan.encoder_operands` then re-draws
-        bit-identical bases/phases from the seeded RNG per predict call,
-        shrinking the resident plan by the ``(in_features, D)`` + two
-        ``(D,)`` arrays.  Requires a :class:`NonlinearEncoder` built from
-        a configured integer seed; the regenerated arrays are verified
-        against the live encoder at compile time.
+        Rows per execution tile.  ``None`` sizes tiles so the scratch
+        set stays near 24 MiB (:func:`auto_tile_rows`).
 
     Raises
     ------
     NotFittedError
         If the model has not been fitted.
     ConfigurationError
-        If ``model`` is not a :class:`MultiModelRegHD` or the knobs are
-        out of range.
+        If ``model`` is not a :class:`MultiModelRegHD` or ``tile_rows``
+        is out of range.
     """
     if not isinstance(model, MultiModelRegHD):
         raise ConfigurationError(
@@ -456,8 +374,6 @@ def compile_model(
         )
     if not model.fitted:
         raise NotFittedError("compile_model called before fit")
-    if n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     cfg = model.config
 
     runtime = _resolve_compile_backend(model, backend)
@@ -466,50 +382,19 @@ def compile_model(
 
     # Encoder snapshot: the fused tile kernel needs the projection
     # operands; other encoder types fall back to their encode_batch.
-    enc_bases = enc_phases = enc_sin_phases = None
-    enc_scale = 1.0
+    enc_operands: EncoderOperands | None = None
     encoder: Encoder | None = None
-    enc_spec: EncoderSpec | None = None
     fused_encode = False
     if type(model.encoder) is NonlinearEncoder:
-        enc_scale = float(model.encoder.scale)
         fused_encode = runtime.fuses_encode(cfg.cluster_quant, cfg.predict_quant)
-        if rematerialize:
-            if cfg.seed is None:
-                raise ConfigurationError(
-                    "rematerialize=True requires a configured integer seed; "
-                    "an unseeded encoder cannot be re-drawn"
-                )
-            enc_spec = EncoderSpec(
-                in_features=model.in_features,
-                dim=cfg.dim,
-                seed=int(cfg.seed),
-                base=cfg.encoder_base,
-                scale=cfg.encoder_scale,
-            )
-            regenerated = enc_spec.materialize()
-            if not (
-                np.array_equal(regenerated.bases, model.encoder.bases)
-                and np.array_equal(regenerated.phases, model.encoder.phases)
-                and float(regenerated.scale) == enc_scale
-            ):
-                raise ConfigurationError(
-                    "rematerialize=True: regenerating the encoder from "
-                    "the configured seed did not reproduce the live "
-                    "projection (the encoder was not built by this "
-                    "model's constructor)"
-                )
-        else:
-            enc_bases = frozen_copy(model.encoder.bases)
-            enc_phases = frozen_copy(model.encoder.phases)
-            if fused_encode:
-                enc_sin_phases = frozen_copy(np.sin(model.encoder.phases))
+        phases = model.encoder.phases
+        enc_operands = EncoderOperands(
+            frozen_copy(model.encoder.bases),
+            frozen_copy(phases),
+            float(model.encoder.scale),
+            frozen_copy(np.sin(phases)) if fused_encode else None,
+        )
     else:
-        if rematerialize:
-            raise ConfigurationError(
-                "rematerialize=True requires a NonlinearEncoder, got "
-                f"{type(model.encoder).__name__}"
-            )
         encoder = model.encoder
 
     if tile_rows is None:
@@ -537,16 +422,11 @@ def compile_model(
         packed_sims=packed_sims,
         packed_dots=packed_dots,
         tile_rows=int(tile_rows),
-        n_workers=int(n_workers),
         backend=runtime,
         cluster_op=cluster_op,
         model_op=model_op,
-        enc_bases=enc_bases,
-        enc_phases=enc_phases,
-        enc_scale=enc_scale,
+        enc_operands=enc_operands,
         encoder=encoder,
-        enc_sin_phases=enc_sin_phases,
-        enc_spec=enc_spec,
         fused_encode=fused_encode,
         _source=weakref.ref(model),
         _stats={

@@ -56,7 +56,6 @@ from repro.runtime.operands import (
     FrozenClusterOperand,
     FrozenModelOperand,
     ModelOperand,
-    PackedWordsCache,
     freeze_cluster_operand,
     freeze_model_operand,
     frozen_copy,
@@ -95,7 +94,6 @@ __all__ = [
     "Query",
     "ClusterOperand",
     "ModelOperand",
-    "PackedWordsCache",
     "FrozenClusterOperand",
     "FrozenModelOperand",
     "freeze_cluster_operand",

@@ -95,8 +95,10 @@ def fused_block_cols(dim: int, rows: int | None = None) -> int:
 
 
 class EncoderOperands(NamedTuple):
-    """Projection operands of one nonlinear encoder, plan- or call-scoped.
+    """Projection operands of one nonlinear encoder, stored in a plan.
 
+    :func:`~repro.engine.compile_model` snapshots them once as read-only
+    copies; every predict call encodes with the same arrays.
     ``sin_phases`` (``sin(φ)``, precomputed once) is only consumed by the
     fused single-trig pipeline; plans that encode unfused carry ``None``.
     """
@@ -108,7 +110,7 @@ class EncoderOperands(NamedTuple):
 
 
 class FusedScratch:
-    """Preallocated buffers for one worker's fused encode→pack tiles."""
+    """Preallocated buffers for one call's fused encode→pack tiles."""
 
     def __init__(self, tile_rows: int, dim: int):
         self.tile_rows = int(tile_rows)

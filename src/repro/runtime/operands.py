@@ -8,9 +8,10 @@ Two flavours exist:
   an estimator's :class:`~repro.core.quantization.DualCopy` directly.
   Integer-derived values (matrices, norms) are views or per-call
   recomputations — bit-identical to reading the shadow copies inline,
-  and immune to out-of-band writes by fault injectors.  Sign-derived
-  values (packed words) are cached per row and keyed on
-  ``DualCopy.sign_versions`` via :class:`PackedWordsCache`, because the
+  and immune to out-of-band writes by fault injectors.  Packed sign
+  words come from the frozen snapshot path below: each live operand
+  keeps its last packed snapshot and refreshes it, so only the rows
+  whose ``DualCopy.sign_versions`` moved are re-packed, because the
   sign pattern only moves at re-binarisation.
 * **frozen operands** (:class:`FrozenClusterOperand`,
   :class:`FrozenModelOperand`) are the read-only snapshots a
@@ -30,7 +31,6 @@ import numpy as np
 from repro.runtime.quantization import ClusterQuant, DualCopy, PredictQuant
 from repro.runtime.kernels import NORM_EPS
 from repro.runtime.packing import pack_sign_words
-from repro.telemetry import metrics as _metrics
 from repro.types import FloatArray
 
 
@@ -50,51 +50,6 @@ def rederive_sign_rows(
         out[:, rows] = signs.T
 
 
-class PackedWordsCache:
-    """Per-row incrementally maintained packed sign words of a DualCopy.
-
-    ``words()`` compares the source's ``sign_versions`` against the last
-    snapshot and re-packs only the changed rows.  Counters record the
-    split for the refresh micro-benchmarks.
-    """
-
-    def __init__(self, dual: DualCopy):
-        self.dual = dual
-        self._words: np.ndarray | None = None
-        self._seen: np.ndarray | None = None
-        self.rows_repacked = 0
-        self.rows_reused = 0
-
-    def words(self) -> np.ndarray:
-        versions = self.dual.sign_versions
-        if self._words is None:
-            self._words = pack_sign_words(self.dual.signs)
-            self._seen = versions.copy()
-            self._count(len(versions), 0)
-            return self._words
-        changed = versions != self._seen
-        n_changed = int(np.count_nonzero(changed))
-        if n_changed:
-            rederive_sign_rows(self._words, self.dual, changed)
-            self._seen[changed] = versions[changed]
-        self._count(n_changed, len(versions) - n_changed)
-        return self._words
-
-    def _count(self, repacked: int, reused: int) -> None:
-        self.rows_repacked += repacked
-        self.rows_reused += reused
-        registry = _metrics.active()
-        if registry is not None:
-            if repacked:
-                registry.counter(
-                    "reghd_packed_words_rows_total", event="repacked"
-                ).inc(repacked)
-            if reused:
-                registry.counter(
-                    "reghd_packed_words_rows_total", event="reused"
-                ).inc(reused)
-
-
 def cluster_norms(dual: DualCopy) -> FloatArray:
     """Row norms of the integer clusters, floored at :data:`NORM_EPS`."""
     return np.maximum(np.linalg.norm(dual.integer, axis=1), NORM_EPS)
@@ -106,7 +61,7 @@ class ClusterOperand:
     def __init__(self, dual: DualCopy, quant: ClusterQuant):
         self.dual = dual
         self.quant = quant
-        self._words_cache: PackedWordsCache | None = None
+        self._packed: FrozenClusterOperand | None = None
 
     @property
     def dim(self) -> int:
@@ -128,9 +83,12 @@ class ClusterOperand:
 
     @property
     def words(self) -> np.ndarray:
-        if self._words_cache is None:
-            self._words_cache = PackedWordsCache(self.dual)
-        return self._words_cache.words()
+        """Packed sign words of a quantised search, read-only; refreshed
+        from the last snapshot, so only rows whose signs moved re-pack."""
+        self._packed, _ = freeze_cluster_operand(
+            self.dual, self.quant, packed=True, previous=self._packed
+        )
+        return self._packed.words
 
 
 class ModelOperand:
@@ -139,7 +97,7 @@ class ModelOperand:
     def __init__(self, dual: DualCopy, quant: PredictQuant):
         self.dual = dual
         self.quant = quant
-        self._words_cache: PackedWordsCache | None = None
+        self._packed: FrozenModelOperand | None = None
 
     @property
     def dim(self) -> int:
@@ -157,9 +115,12 @@ class ModelOperand:
 
     @property
     def words(self) -> np.ndarray:
-        if self._words_cache is None:
-            self._words_cache = PackedWordsCache(self.dual)
-        return self._words_cache.words()
+        """Packed sign words, read-only; refreshed as
+        :attr:`ClusterOperand.words` is."""
+        self._packed, _ = freeze_model_operand(
+            self.dual, self.quant, packed=True, previous=self._packed
+        )
+        return self._packed.words
 
 
 # -- frozen snapshots -------------------------------------------------------

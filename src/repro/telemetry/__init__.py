@@ -6,7 +6,7 @@ not an afterthought.  This package provides:
 
 * :class:`MetricsRegistry` — counters, gauges and fixed-bucket
   histograms (pure numpy, lock-free on the single-thread path,
-  thread-safe under the engine's thread pool) plus a structured event
+  thread-safe under concurrent callers) plus a structured event
   log for discrete reliability occurrences;
 * :func:`span` — a nested context-manager tracer on the monotonic clock
   (:func:`monotonic`), recording per-path duration histograms;

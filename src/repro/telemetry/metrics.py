@@ -11,7 +11,7 @@ in order:
 2. **Lock-free on the hot path.**  Counters and histograms write into
    per-thread cells (:class:`threading.local`); the only lock is taken
    once per thread per metric, when the cell is first registered.  Reads
-   merge the cells, so the engine's ``ThreadPoolExecutor`` workers never
+   merge the cells, so threads serving one plan concurrently never
    contend.
 3. **Prometheus-compatible semantics.**  Counters are monotonic
    ``*_total`` sums, gauges are last-write-wins scalars, histograms use
@@ -77,10 +77,6 @@ CATALOG: dict[str, tuple[str, str]] = {
         "counter",
         "Bytes moved through kernel operands (inputs + outputs).",
     ),
-    "reghd_packed_words_rows_total": (
-        "counter",
-        "PackedWordsCache rows re-packed vs reused across refreshes.",
-    ),
     "reghd_plan_compiles_total": (
         "counter",
         "Full CompiledPlan compilations (operand snapshots from scratch).",
@@ -88,11 +84,6 @@ CATALOG: dict[str, tuple[str, str]] = {
     "reghd_plan_refreshes_total": (
         "counter",
         "Incremental CompiledPlan.refresh calls.",
-    ),
-    "reghd_plan_rematerializations_total": (
-        "counter",
-        "Encoder operand regenerations by rematerialised plans "
-        "(one per predict call on a rematerialize=True plan).",
     ),
     "reghd_popcount_block_rows": (
         "gauge",

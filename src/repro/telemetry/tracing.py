@@ -140,9 +140,9 @@ class TraceContext:
 
     Holds the deterministic trace id, the root span id, and a stack of
     open span ids used to parent nested spans.  The stack is only ever
-    touched from the thread that opened the trace — worker threads that
-    need to attach leaf records use :meth:`Tracer.record_stage` with an
-    explicitly-passed context instead.
+    touched from the thread that opened the trace; a caller that times a
+    stage itself attaches it as a leaf record with
+    :meth:`Tracer.record_stage` instead.
     """
 
     __slots__ = ("trace_id", "name", "attrs", "root_id", "_stack")
@@ -176,7 +176,7 @@ class Tracer:
 
     ``capacity`` bounds memory for long runs; the newest records win.
     Record appends are a single ``deque.append`` (thread-safe under the
-    GIL), so worker threads can record stage spans without locking.
+    GIL), so concurrent callers can record stage spans without locking.
     """
 
     def __init__(self, *, capacity: int = 8192):
@@ -221,11 +221,12 @@ class Tracer:
         end: float,
         **attrs: object,
     ) -> None:
-        """Record a leaf span under ``ctx``'s root from any thread.
+        """Record a leaf span with explicit timestamps under ``ctx``'s root.
 
-        The worker-thread entry point: contextvars do not propagate into
-        pool threads, so the executor captures the context once and
-        passes it here — no stack mutation, just an appended record.
+        The serving executor times each tile's stages with one clock
+        read per stage boundary and attaches them here (``tile/encode``,
+        ``tile/search``, ``tile/accumulate``) — no stack mutation, just
+        an appended record.
         """
         self.record(
             SpanRecord(

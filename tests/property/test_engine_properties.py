@@ -1,8 +1,7 @@
 """Property tests: CompiledPlan.predict is equivalent to the model path.
 
-The ISSUE-2 acceptance contract: across every ``ClusterQuant`` ×
-``PredictQuant`` combination, tile sizes that do not divide the batch,
-and ``n_workers`` ∈ {1, 4}, the compiled plan reproduces
+Across every ``ClusterQuant`` × ``PredictQuant`` combination and tile
+sizes that do not divide the batch, the compiled plan reproduces
 ``MultiModelRegHD.predict`` to float tolerance — and the packed
 similarity scores reproduce the float sign-matmul scores *exactly*.
 """
@@ -45,13 +44,12 @@ class TestPlanModelEquivalence:
         seed=st.integers(min_value=0, max_value=3),
         n_rows=st.integers(min_value=1, max_value=50),
         tile_rows=st.integers(min_value=1, max_value=70),
-        n_workers=st.sampled_from([1, 4]),
     )
     @settings(max_examples=8, deadline=None)
-    def test_predictions_match(self, cq, pq, seed, n_rows, tile_rows, n_workers):
+    def test_predictions_match(self, cq, pq, seed, n_rows, tile_rows):
         model = _fitted(cq, pq, seed)
         X = np.random.default_rng(seed + 100).normal(size=(n_rows, 4))
-        plan = model.compile(tile_rows=tile_rows, n_workers=n_workers)
+        plan = model.compile(tile_rows=tile_rows)
         np.testing.assert_allclose(
             plan.predict(X),
             model.predict(X),

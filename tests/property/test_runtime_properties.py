@@ -8,8 +8,8 @@ The backend-dispatch contract of the ISSUE-4 refactor:
   float rounding (the only kernel allowed to differ);
 * the segment-sum that replaced ``np.add.at`` in the cluster update is
   bit-identical to it on a zero target;
-* :class:`PackedWordsCache` incremental re-packing is indistinguishable
-  from packing from scratch, and its counters account for every row;
+* the live operands' incremental re-packing of moved sign rows is
+  indistinguishable from packing from scratch;
 * :class:`Query` yields identical derivations whether operands are
   precomputed (serving), derived lazily (training) or sliced from a
   larger query, and derives its sign pattern once for ``signs`` and
@@ -24,14 +24,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ops.quantize import bipolarize
-from repro.runtime import PackedWordsCache, Query, pack_sign_words
+from repro.runtime import (
+    ClusterOperand,
+    ModelOperand,
+    Query,
+    pack_sign_words,
+)
 from repro.runtime.kernels import (
     hamming_similarities,
     packed_scaled_dots,
     segment_sum,
     sign_similarities,
 )
-from repro.runtime.quantization import DualCopy, binarize_preserving_scale
+from repro.runtime.quantization import (
+    ClusterQuant,
+    DualCopy,
+    PredictQuant,
+    binarize_preserving_scale,
+)
+
+
+def _live_operands(dual):
+    """Both live operand kinds over one dual copy, as packed kernels
+    read them."""
+    return (
+        ClusterOperand(dual, ClusterQuant.FRAMEWORK),
+        ModelOperand(dual, PredictQuant.BINARY_BOTH),
+    )
 
 
 class TestPackedKernelExactness:
@@ -123,28 +142,31 @@ class TestPackedWordsCache:
     )
     @settings(max_examples=25, deadline=None)
     def test_incremental_equals_full_repack(self, seed, k, dim, touched):
+        """Live operands re-derive only moved rows from their last packed
+        snapshot, and the result equals packing from scratch."""
         rng = np.random.default_rng(seed)
         dual = DualCopy(rng.normal(size=(k, dim)))
-        cache = PackedWordsCache(dual)
-        cache.words()  # initial full pack
+        operands = _live_operands(dual)
+        for op in operands:
+            op.words  # the initial full pack
         for row in touched:
             dual.update(row % k, rng.normal(size=dim))
         dual.rebinarize()
-        got = cache.words()
-        np.testing.assert_array_equal(got, pack_sign_words(dual.signs))
-        # every row is accounted for on every words() call
-        assert cache.rows_repacked + cache.rows_reused == 2 * k
+        for op in operands:
+            np.testing.assert_array_equal(
+                op.words, pack_sign_words(dual.signs)
+            )
 
     def test_sign_preserving_update_repacks_nothing(self):
+        """A decay that keeps every sign returns the same words array."""
         rng = np.random.default_rng(3)
         dual = DualCopy(rng.normal(size=(4, 64)))
-        cache = PackedWordsCache(dual)
-        cache.words()
+        operands = _live_operands(dual)
+        before = [op.words for op in operands]
         dual.update_all(-0.5 * dual.integer)  # decay: signs survive
         dual.rebinarize()
-        cache.words()
-        assert cache.rows_repacked == 4  # only the initial pack
-        assert cache.rows_reused == 4
+        for op, words in zip(operands, before):
+            assert op.words is words
 
 
 class TestQueryConsistency:

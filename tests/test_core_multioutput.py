@@ -109,7 +109,8 @@ class TestMultiOutput:
 
 
 class TestSharedEncoding:
-    """partial_fit and predict encode each batch once for every head."""
+    """fit, partial_fit and predict encode each batch once for every
+    head."""
 
     @pytest.mark.parametrize(
         "predict_quant",
@@ -165,3 +166,56 @@ class TestSharedEncoding:
         np.testing.assert_array_equal(
             predictions, np.column_stack([head.predict(Xte) for head in heads])
         )
+
+    @pytest.mark.parametrize(
+        "predict_quant",
+        [PredictQuant.FULL, PredictQuant.BINARY_BOTH],
+        ids=lambda q: q.value,
+    )
+    def test_fit_encodes_once_for_every_head(
+        self, task, monkeypatch, predict_quant
+    ):
+        """fit encodes the training rows and the validation rows once
+        each for all heads, and every head ends bit-identical to its own
+        fit on the same rows."""
+        from repro.core.multi import MultiModelRegHD
+        from repro.encoding.nonlinear import NonlinearEncoder
+
+        X, Y, Xte, Yte = task
+        config = CONFIG.with_overrides(
+            cluster_quant=ClusterQuant.FRAMEWORK, predict_quant=predict_quant
+        )
+        model = MultiOutputRegHD(5, 3, config)
+        calls = []
+        encode_batch = NonlinearEncoder.encode_batch
+
+        def counting(self, X):
+            calls.append(len(X))
+            return encode_batch(self, X)
+
+        monkeypatch.setattr(NonlinearEncoder, "encode_batch", counting)
+        model.fit(X[:120], Y[:120], X_val=Xte[:40], Y_val=Yte[:40])
+        assert calls == [120, 40]
+        monkeypatch.undo()
+
+        predictions = model.predict(Xte)
+        for output, mine in enumerate(model.heads):
+            ref = MultiModelRegHD(
+                5,
+                config.with_overrides(seed=config.seed + output),
+                encoder=model.encoder,
+            ).fit(
+                X[:120],
+                Y[:120, output],
+                X_val=Xte[:40],
+                y_val=Yte[:40, output],
+            )
+            for name in ("clusters", "models"):
+                dual, ref_dual = getattr(mine, name), getattr(ref, name)
+                np.testing.assert_array_equal(dual.integer, ref_dual.integer)
+                np.testing.assert_array_equal(dual.binary, ref_dual.binary)
+            assert mine.scaler.get_state() == ref.scaler.get_state()
+            assert mine.history_.records == ref.history_.records
+            np.testing.assert_array_equal(
+                predictions[:, output], ref.predict(Xte)
+            )

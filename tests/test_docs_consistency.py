@@ -32,6 +32,18 @@ class TestDesignDoc:
         for path in (REPO / "benchmarks").glob("test_*.py"):
             assert path.name in design, f"{path.name} missing from DESIGN.md"
 
+    def test_metric_table_lists_exactly_the_catalogue(self):
+        """DESIGN.md §1.12's metric table and ``telemetry.CATALOG`` name
+        the same metrics, each with the same kind."""
+        from repro.telemetry.metrics import CATALOG
+
+        design = _read("DESIGN.md")
+        section = design[design.index("### 1.12 ") : design.index("### 1.13 ")]
+        table = dict(
+            re.findall(r"^\| `(reghd_\w+)` \| (\w+) \|", section, re.M)
+        )
+        assert table == {name: kind for name, (kind, _) in CATALOG.items()}
+
     def test_named_modules_exist(self):
         """Module paths quoted in the inventory tables resolve."""
         design = _read("DESIGN.md")

@@ -214,18 +214,39 @@ class TestSink:
             actual = raw.strip().lower() in metrics_mod._TRUTHY
             assert actual is expected, raw
 
-    def test_config_telemetry_field_flips_sink(self):
-        MultiModelRegHD(3, RegHDConfig(dim=32, n_models=2, telemetry=True))
-        assert telemetry.enabled()
-        MultiModelRegHD(3, RegHDConfig(dim=32, n_models=2, telemetry=False))
-        assert not telemetry.enabled()
-
     def test_config_telemetry_validation_and_meta(self):
-        with pytest.raises(ConfigurationError, match="telemetry"):
-            RegHDConfig(telemetry="yes")  # type: ignore[arg-type]
-        cfg = RegHDConfig(telemetry=True)
-        assert RegHDConfig.from_meta(cfg.to_meta()).telemetry is True
-        assert RegHDConfig.from_meta(RegHDConfig().to_meta()).telemetry is None
+        """A config has no telemetry field: the switch is the process's,
+        and ``from_meta`` ignores the key older model files carry."""
+        with pytest.raises(TypeError, match="telemetry"):
+            RegHDConfig(telemetry=True)  # type: ignore[call-arg]
+        meta = RegHDConfig().to_meta()
+        assert "telemetry" not in meta
+        assert RegHDConfig.from_meta({**meta, "telemetry": False}) == (
+            RegHDConfig()
+        )
+
+    @pytest.mark.parametrize("switch", [True, False])
+    def test_loading_a_model_leaves_the_switch_alone(self, switch, tmp_path):
+        """Loading a file whose config still says ``"telemetry": false``
+        (or true) does not touch the process-wide switch."""
+        from repro import load_model, save_model
+
+        model = MultiModelRegHD(3, RegHDConfig(dim=32, n_models=2))
+        X = np.random.default_rng(0).normal(size=(16, 3))
+        model.fit(X, X[:, 0])
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        arrays = dict(np.load(path))
+        meta = json.loads(str(arrays["_meta"]))
+        meta["config"]["telemetry"] = not switch
+        arrays["_meta"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+
+        if switch:
+            telemetry.enable()
+        loaded = load_model(path)
+        assert telemetry.enabled() is switch
+        np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
 
 
 class TestDisabledPath:
@@ -543,13 +564,14 @@ class TestServingMetrics:
             assert n >= 1, stage
 
     def test_multithreaded_serving_counts_all_tiles(self, tiny_regression):
+        """Every tile of one call lands in the stage histograms."""
         X_train, y_train, X_test, _ = tiny_regression
         reg = telemetry.enable()
         model = MultiModelRegHD(
             X_train.shape[1], RegHDConfig(dim=128, n_models=2, seed=0)
         )
         model.partial_fit(X_train, y_train)
-        plan = model.compile(tile_rows=16, n_workers=4)
+        plan = model.compile(tile_rows=16)
         plan.predict(X_test)
         n_tiles = -(-len(X_test) // 16)
         _, _, n = reg.histogram(
