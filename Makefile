@@ -4,7 +4,7 @@ PYTHON ?= python
 # Run the package from source, as the tier-1 command and CI do.
 FROM_SRC = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test bench-test bench examples reproduce clean
+.PHONY: install test bench-test bench parity examples reproduce clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -20,6 +20,12 @@ bench-test:
 
 bench:
 	$(FROM_SRC) $(PYTHON) -m pytest benchmarks/
+
+# One SHA-256 over compiled-plan and stream outputs of this tree's src/.
+# `python tests/fixtures/parity.py OTHER/src` hashes another tree; equal
+# hashes under the same REPRO_BACKEND mean bit-identical outputs.
+parity:
+	$(PYTHON) tests/fixtures/parity.py src
 
 # Run every example end to end (a few minutes total).
 examples:

@@ -124,17 +124,17 @@ def _run_tile(
     # 4. Model dot products (Eq. 6 under the Sec.-3.2 scheme).  The
     #    binarised queries are built in place in the sign buffer — only
     #    after the similarities above are done reading it.
-    if plan.predict_quant.query_is_binary and not plan.packed_dots:
+    if not plan.packed_dots and plan.predict_quant.query_is_binary:
         query._binarized = np.multiply(
             signs, q_scales[:, np.newaxis], out=signs
         )
     dots = backend.model_dots(query, plan.model_op)
 
-    # 5. Confidence-weighted accumulation, mapped back to target units.
-    y = backend.weighted_prediction(conf, dots)
-    np.multiply(y, plan.y_scale, out=y)
+    # 5. Confidence-weighted accumulation, mapped back to target units
+    #    straight into the output rows.
+    y = out[lo:hi]
+    np.multiply(backend.weighted_prediction(conf, dots), plan.y_scale, out=y)
     np.add(y, plan.y_mean, out=y)
-    out[lo:hi] = y
     if registry is not None:
         t1 = _timing.monotonic()
         registry.histogram(

@@ -37,6 +37,7 @@ from repro.core.multi import MultiModelRegHD
 from repro.core.quantization import ClusterQuant, PredictQuant
 from repro.encoding.base import Encoder
 from repro.encoding.nonlinear import NonlinearEncoder
+from repro.engine.executor import execute_plan
 from repro.exceptions import (
     ConfigurationError,
     EncodingError,
@@ -268,8 +269,6 @@ class CompiledPlan:
         match to float rounding).  Runs in the compile-time ``tile_rows``
         tiles, in the calling thread.
         """
-        from repro.engine.executor import execute_plan
-
         X_arr = check_2d("X", X)
         if X_arr.shape[1] != self.in_features:
             raise EncodingError(

@@ -34,6 +34,6 @@ def softmax(scores: FloatArray) -> FloatArray:
     exactly ``exp(0) = 1`` and overflow is impossible for any finite
     input; the result is mathematically identical to the unshifted form.
     """
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return np.divide(exp, np.add.reduce(exp, axis=1, keepdims=True), out=exp)

@@ -2,16 +2,17 @@
 
 Checkpoint protocol (documented in README "Reliability & deployment"):
 
-* one checkpoint == one ``.npz`` produced by
-  :func:`repro.serialization.save_model` (registry-driven state protocol,
+* one checkpoint == one ``.npz`` in the
+  :func:`repro.serialization.save_model` format, built in memory by
+  :func:`~repro.serialization.model_bytes` (registry-driven state protocol,
   so *any* registered model type checkpoints the same way): everything a
   recovery needs — model hypervectors, encoder bases, target scaling,
   plus wrapper state in the ``extra`` metadata — lives in a single file;
 * **atomic**: the file is written to a temporary name in the target
   directory and published with :func:`os.replace`, so readers never
   observe a half-written checkpoint under its final name;
-* **self-validating**: the final name embeds the CRC32 of the file bytes
-  (``ckpt-<batch:08d>-<crc32:08x>.npz``); a reader recomputes the CRC
+* **self-validating**: the final name embeds the CRC32 of the bytes
+  written (``ckpt-<batch:08d>-<crc32:08x>.npz``); a reader recomputes the CRC
   before trusting a file, so truncation and bit rot are detected without
   a sidecar that could itself go missing;
 * **rotating**: only the newest ``keep`` checkpoints are retained, and
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.exceptions import CheckpointCorruptError, RecoveryError
 from repro.reliability.retry import retry
-from repro.serialization import load_model, read_metadata, save_model
+from repro.serialization import load_model, model_bytes, read_metadata
 from repro.telemetry import metrics as _metrics
 
 _NAME = re.compile(r"^ckpt-(?P<batch>\d{8})-(?P<crc>[0-9a-f]{8})\.npz$")
@@ -83,9 +84,12 @@ class CheckpointManager:
         """
         if batch < 0:
             raise RecoveryError(f"batch must be >= 0, got {batch}")
+        # Serialise once, in memory: the CRC comes from the bytes being
+        # written, so the file is never read back to name it.
+        payload = model_bytes(model, extra=extra)
+        crc = zlib.crc32(payload) & 0xFFFFFFFF
         tmp = self.directory / f".ckpt-{batch:08d}.tmp.npz"
-        save_model(model, tmp, extra=extra)
-        crc = file_crc(tmp)
+        tmp.write_bytes(payload)
         final = self.directory / f"ckpt-{batch:08d}-{crc:08x}.npz"
         os.replace(tmp, final)
         self.prune()
@@ -96,7 +100,7 @@ class CheckpointManager:
                 "checkpoint_write",
                 batch=batch,
                 checkpoint_id=final.stem,
-                bytes=final.stat().st_size,
+                bytes=len(payload),
             )
         return CheckpointInfo(path=final, batch=batch, crc=crc)
 

@@ -19,6 +19,8 @@ sustained contamination instead of being dragged toward it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -26,11 +28,28 @@ from repro.robust.moments import (
     RobustMomentTracker,
     chi2_quantile,
     clipped_eigh,
+    clipped_inverse,
     mahalanobis2_from,
 )
 from repro.types import ArrayLike, FloatArray
 
 __all__ = ["GateScores", "MahalanobisGate"]
+
+
+class _Partition(NamedTuple):
+    """The joint moments split into what the two scores read: the
+    means, the clipped eigendecomposition of ``Sigma_xx`` with its
+    pseudo-inverse spectrum, the regression ``beta`` and the noise
+    variance ``sigma_e``."""
+
+    mu_x: FloatArray
+    mu_y: float
+    eigvals: FloatArray
+    eigvecs: FloatArray
+    kept: np.ndarray
+    inv: FloatArray
+    beta: FloatArray
+    sigma_e: float
 
 
 class GateScores:
@@ -103,12 +122,27 @@ class MahalanobisGate:
             in_features + 1, warmup=warmup, decay=decay
         )
         self.n_gated = 0
+        #: ``(tracker.version, partition)`` of the last derivation
+        self._derived: tuple[int, _Partition] | None = None
 
     # -- score derivation ----------------------------------------------------
 
-    def _partition(self) -> tuple[FloatArray, tuple, FloatArray, float]:
-        """``(mu_x, eig(Sigma_xx), beta, sigma_e)`` from the joint moments."""
+    def _partition(self) -> _Partition:
+        """The partitioned joint moments every score reads.
+
+        Derived once per state of the tracker (keyed on its
+        :attr:`~repro.robust.moments.RobustMomentTracker.version`) and
+        reused by every score until the moments move: a stream reads
+        many batches per update.
+        """
+        version = self.tracker.version
+        if self._derived is None or self._derived[0] != version:
+            self._derived = (version, self._derive())
+        return self._derived[1]
+
+    def _derive(self) -> _Partition:
         d = self.in_features
+        mu = self.tracker.mean
         cov = self.tracker.covariance
         sigma_xx = cov[:d, :d]
         sigma_xy = cov[:d, d]
@@ -116,14 +150,11 @@ class MahalanobisGate:
         # Clipped-eigenvalue pseudo-inverse of Sigma_xx (same policy as
         # the tracker's own scoring, kept local to the x-marginal).
         eigvals, eigvecs, kept = clipped_eigh(sigma_xx)
-        inv = np.where(kept, 1.0 / np.where(kept, eigvals, 1.0), 0.0)
+        inv = clipped_inverse(eigvals, kept)
         beta = eigvecs @ (inv * (eigvecs.T @ sigma_xy))
         sigma_e = sigma_yy - float(sigma_xy @ beta)
-        return (
-            self.tracker.mean[:d],
-            (eigvals, eigvecs, kept),
-            beta,
-            max(sigma_e, 0.0),
+        return _Partition(
+            mu[:d], mu[d], eigvals, eigvecs, kept, inv, beta, max(sigma_e, 0.0)
         )
 
     def leverage2(self, X: ArrayLike) -> FloatArray:
@@ -136,22 +167,22 @@ class MahalanobisGate:
             )
         if self.tracker.weight <= 0.0:
             return np.zeros(len(X_arr))
-        mu_x, (eigvals, eigvecs, kept), _, _ = self._partition()
-        return mahalanobis2_from(eigvals, eigvecs, kept, X_arr - mu_x)
+        p = self._partition()
+        return mahalanobis2_from(
+            p.eigvals, p.eigvecs, p.kept, X_arr - p.mu_x, inv=p.inv
+        )
 
     def residual2(self, X: ArrayLike, y: ArrayLike) -> FloatArray:
         """Squared studentised residual ``d_r^2`` of ``y`` given ``x``."""
         X_arr = np.asarray(X, dtype=np.float64)
         y_arr = np.asarray(y, dtype=np.float64).ravel()
-        mu = self.tracker.mean
-        d = self.in_features
-        _, _, beta, sigma_e = self._partition()
-        r = (y_arr - mu[d]) - (X_arr - mu[:d]) @ beta
-        if sigma_e <= np.finfo(np.float64).tiny:
+        p = self._partition()
+        r = (y_arr - p.mu_y) - (X_arr - p.mu_x) @ p.beta
+        if p.sigma_e <= np.finfo(np.float64).tiny:
             # Degenerate noise estimate: any non-zero residual is
             # infinitely surprising, zero residuals are unremarkable.
             return np.where(np.abs(r) > 1e-12, np.inf, 0.0)
-        return r**2 / sigma_e
+        return r**2 / p.sigma_e
 
     # -- gating -------------------------------------------------------------
 

@@ -38,6 +38,7 @@ __all__ = [
     "RobustMomentTracker",
     "chi2_quantile",
     "clipped_eigh",
+    "clipped_inverse",
     "mahalanobis2_from",
     "normal_quantile",
 ]
@@ -61,22 +62,32 @@ def clipped_eigh(cov: FloatArray) -> tuple[FloatArray, FloatArray, np.ndarray]:
     return eigvals, eigvecs, kept
 
 
+def clipped_inverse(eigvals: FloatArray, kept: np.ndarray) -> FloatArray:
+    """The pseudo-inverse spectrum of a :func:`clipped_eigh` result:
+    ``1 / eigval`` on the kept directions, 0 on the null space."""
+    return np.where(kept, 1.0 / np.where(kept, eigvals, 1.0), 0.0)
+
+
 def mahalanobis2_from(
     eigvals: FloatArray,
     eigvecs: FloatArray,
     kept: np.ndarray,
     delta: FloatArray,
+    *,
+    inv: FloatArray | None = None,
 ) -> FloatArray:
     """Squared Mahalanobis distances of centred rows ``delta``.
 
     Uses the clipped-eigenvalue pseudo-inverse described by
-    :func:`clipped_eigh`.  Deviation *inside the null space* of a
-    singular covariance (a direction with zero observed variance) scores
-    ``inf``: the estimate has never seen movement there, so any movement
-    is maximally surprising.
+    :func:`clipped_eigh`; callers scoring many batches against one
+    estimate pass its :func:`clipped_inverse` as ``inv``.  Deviation
+    *inside the null space* of a singular covariance (a direction with
+    zero observed variance) scores ``inf``: the estimate has never seen
+    movement there, so any movement is maximally surprising.
     """
     proj = delta @ eigvecs  # coordinates in the eigenbasis
-    inv = np.where(kept, 1.0 / np.where(kept, eigvals, 1.0), 0.0)
+    if inv is None:
+        inv = clipped_inverse(eigvals, kept)
     d2 = (proj**2 * inv).sum(axis=1)
     if not kept.all():
         null2 = (proj**2 * ~kept).sum(axis=1)
@@ -200,6 +211,9 @@ class RobustMomentTracker:
         self.n_rejected = 0  # rows excluded by the reweighting step
         self.mean = np.zeros(self.dim)
         self._m2 = np.zeros((self.dim, self.dim))  # weighted scatter
+        #: bumped whenever the moments change (an update that absorbs
+        #: weight, or a restored state); caches of derived values key on it
+        self.version = 0
         self._eig: tuple[FloatArray, FloatArray, np.ndarray] | None = None
 
     # -- properties ---------------------------------------------------------
@@ -261,6 +275,7 @@ class RobustMomentTracker:
         )
         self.mean = self.mean + (w_sum / total) * delta
         self.weight = total
+        self.version += 1
         self._eig = None  # precision is stale
 
     # -- scoring ------------------------------------------------------------
@@ -335,6 +350,7 @@ class RobustMomentTracker:
         self.n_rejected = int(state["n_rejected"])
         self.mean = np.asarray(state["mean"], dtype=np.float64)
         self._m2 = np.asarray(state["m2"], dtype=np.float64)
+        self.version += 1
         self._eig = None
 
     @classmethod

@@ -118,7 +118,7 @@ class KernelBackend:
         self, conf: FloatArray, dots: FloatArray
     ) -> FloatArray:
         """Confidence-weighted combination of per-model responses (Eq. 6)."""
-        return np.sum(conf * dots, axis=1)
+        return np.add.reduce(conf * dots, axis=1)
 
     def linear_dots(self, S: FloatArray, weights: FloatArray) -> FloatArray:
         """Dots against a single model vector or stacked class vectors."""

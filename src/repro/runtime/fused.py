@@ -110,36 +110,42 @@ class EncoderOperands(NamedTuple):
 
 
 class FusedScratch:
-    """Preallocated buffers for one call's fused encode→pack tiles."""
+    """Preallocated buffers for one call's fused encode→pack tiles.
+
+    Only the buffers the block layout uses are allocated: one float slab
+    whose two rows hold a column block of the encoding ``H`` (then
+    ``|H|``) and of ``H²``, one ``(2, tile_rows)`` slab of row sums that
+    a single reduction per block fills from it, the sign bits, and the
+    packed output words.  When one block spans a D that is a multiple of
+    64, ``np.packbits``' output viewed as ``uint64`` already is the
+    words, so ``words`` is ``None``.
+    """
 
     def __init__(self, tile_rows: int, dim: int):
         self.tile_rows = int(tile_rows)
         self.dim = int(dim)
         self.block_cols = fused_block_cols(dim, self.tile_rows)
         self.n_words = -(-self.dim // 64)
-        #: projection / encoding block, reused per column block
-        self.proj = np.empty((tile_rows, self.block_cols), dtype=np.float64)
-        #: reduction temporary (squares, magnitudes) per column block
-        self.work = np.empty((tile_rows, self.block_cols), dtype=np.float64)
-        #: sign bits per column block, feeding the packer
-        self.bits = np.empty((tile_rows, self.block_cols), dtype=np.bool_)
-        #: packed output words for a full tile
-        self.words = np.empty((tile_rows, self.n_words), dtype=np.uint64)
-        #: per-row reduction accumulators
-        self.sumsq = np.empty(tile_rows, dtype=np.float64)
-        self.sumabs = np.empty(tile_rows, dtype=np.float64)
+        slab = self.tile_rows * self.block_cols
+        #: ``H`` (then ``|H|``) and ``H²`` of one column block
+        self.floats = np.empty((2, slab), dtype=np.float64)
+        #: sign bits of one column block, feeding the packer
+        self.bits = np.empty(slab, dtype=np.bool_)
+        #: per-row ``Σ|H|`` and ``‖H‖²``, accumulated over the blocks
+        self.sums = np.empty((2, self.tile_rows), dtype=np.float64)
+        #: packed output words for a full tile, unless one block's
+        #: ``packbits`` output is the words already
+        self.words = (
+            None
+            if self.block_cols == self.dim
+            else np.empty((self.tile_rows, self.n_words), dtype=np.uint64)
+        )
 
     @property
     def nbytes(self) -> int:
         """Total scratch footprint in bytes."""
-        return (
-            self.proj.nbytes
-            + self.work.nbytes
-            + self.bits.nbytes
-            + self.words.nbytes
-            + self.sumsq.nbytes
-            + self.sumabs.nbytes
-        )
+        words = 0 if self.words is None else self.words.nbytes
+        return self.floats.nbytes + self.bits.nbytes + self.sums.nbytes + words
 
 
 def encode_pack_tile(
@@ -155,35 +161,33 @@ def encode_pack_tile(
     uint64 sign packing of the Eq.-(1) encoding (bit 1 where the encoded
     value is ``>= 0``, padding bits zero — the :func:`pack_sign_words`
     convention) and ``scales`` is the per-row binarisation scale of the
-    normalised queries, ``mean(|H|) / max(‖H‖, eps)``.  Both are views
-    into ``scratch`` valid until its next use.
+    normalised queries, ``mean(|H|) / max(‖H‖, eps)``.  ``scales`` is a
+    view into ``scratch`` valid until its next use; so is ``words``,
+    except when one block spans a D that is a multiple of 64, where it
+    is ``np.packbits``' own output viewed as uint64.
 
     The full float encoding is never materialised: each column block is
-    encoded with the single-trig identity, reduced into the norm/scale
-    accumulators and packed while cache-resident.
+    encoded with the single-trig identity, packed, and reduced into the
+    norm/scale accumulators while cache-resident.
     """
     t, dim = X.shape[0], scratch.dim
     bc = scratch.block_cols
     registry = _metrics.active()
     if registry is not None:
         registry.gauge("reghd_fused_block_cols").set(bc)
-    words = scratch.words[:t]
-    words_u8 = words.view(np.uint8)
-    sumsq = scratch.sumsq[:t]
-    sumabs = scratch.sumabs[:t]
-    sumsq[:] = 0.0
-    sumabs[:] = 0.0
+    words = scratch.words
+    if words is not None:
+        words = words[:t]
+        words_u8 = words.view(np.uint8)
+    sums = scratch.sums[:, :t]
     two_scale = 2.0 * enc.scale
-    proj_flat = scratch.proj.reshape(-1)
-    work_flat = scratch.work.reshape(-1)
-    bits_flat = scratch.bits.reshape(-1)
     for d0 in range(0, dim, bc):
         d1 = min(d0 + bc, dim)
         w = d1 - d0
-        # Contiguous (t, w) views carved from the flat buffers — np.dot
+        # The slab's two rows as contiguous (t, w) blocks — np.dot
         # requires a C-contiguous output array.
-        pb = proj_flat[: t * w].reshape(t, w)
-        tb = work_flat[: t * w].reshape(t, w)
+        block = scratch.floats[:, : t * w].reshape(2, t, w)
+        pb = block[0]
         # H = ½(sin(2p + φ) − sin φ) with p = (X @ B) · scale: one trig
         # call per element in place of the cos·sin product.
         np.dot(X, enc.bases[:, d0:d1], out=pb)
@@ -192,23 +196,32 @@ def encode_pack_tile(
         np.sin(pb, out=pb)
         np.subtract(pb, enc.sin_phases[d0:d1], out=pb)
         np.multiply(pb, 0.5, out=pb)
-        # Row reductions while the block is hot: ‖H‖² and Σ|H|.
-        np.multiply(pb, pb, out=tb)
-        sumsq += tb.sum(axis=1)
-        np.abs(pb, out=tb)
-        sumabs += tb.sum(axis=1)
+        # H² into the slab's second row, before |H| overwrites H.
+        np.multiply(pb, pb, out=block[1])
         # Sign bits → packed bytes; block starts are multiples of 64, so
         # per-block packbits output lands on whole-byte offsets.
-        bits = np.greater_equal(pb, 0, out=bits_flat[: t * w].reshape(t, w))
+        bits = np.greater_equal(pb, 0, out=scratch.bits[: t * w].reshape(t, w))
         packed = np.packbits(bits, axis=1)
-        words_u8[:, d0 // 8 : d0 // 8 + packed.shape[1]] = packed
-    # Zero the padding bytes so padding bits cancel in XOR, exactly as
-    # pack_sign_words guarantees.
-    used_bytes = -(-dim // 8)
-    if used_bytes < words_u8.shape[1]:
-        words_u8[:, used_bytes:] = 0
-    norms = np.sqrt(sumsq, out=sumsq)
+        if words is None:
+            words = packed.view(np.uint64)
+        else:
+            words_u8[:, d0 // 8 : d0 // 8 + packed.shape[1]] = packed
+        # Σ|H| and ‖H‖² in one reduction over both rows while the block
+        # is hot.  The first block reduces straight into the accumulators
+        # (both sums are >= +0.0, so this equals adding them to zeros).
+        np.abs(pb, out=pb)
+        if d0:
+            sums += np.add.reduce(block, axis=2)
+        else:
+            np.add.reduce(block, axis=2, out=sums)
+    if scratch.words is not None:
+        # Zero the padding bytes so padding bits cancel in XOR, exactly
+        # as pack_sign_words guarantees.
+        used_bytes = -(-dim // 8)
+        if used_bytes < words_u8.shape[1]:
+            words_u8[:, used_bytes:] = 0
+    norms = np.sqrt(sums[1], out=sums[1])
     np.maximum(norms, norm_eps, out=norms)
-    scales = np.divide(sumabs, float(dim), out=sumabs)
+    scales = np.divide(sums[0], float(dim), out=sums[0])
     np.divide(scales, norms, out=scales)
     return words, scales

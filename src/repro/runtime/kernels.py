@@ -60,7 +60,8 @@ def hamming_similarities(
     Bit-exact against :func:`sign_similarities` on the same sign patterns
     (the products are integers; the single division is identical).
     """
-    return packed_sign_products(query_words, cluster_words, dim) / float(dim)
+    products = packed_sign_products(query_words, cluster_words, dim)
+    return np.divide(products, float(dim), out=products)
 
 
 # -- confidences (Fig. 4) --------------------------------------------------
@@ -93,7 +94,8 @@ def packed_scaled_dots(
     stage of a binary accelerator folds in.
     """
     products = packed_sign_products(query_words, model_words, dim)
-    return products * query_scales[:, np.newaxis] * model_scales[np.newaxis, :]
+    np.multiply(products, query_scales[:, np.newaxis], out=products)
+    return np.multiply(products, model_scales, out=products)
 
 
 def linear_dots(S: FloatArray, weights: FloatArray) -> FloatArray:

@@ -86,7 +86,7 @@ def _popcount_sum(words: np.ndarray) -> np.ndarray:
     the (C-contiguous) input as bytes, which leaves the sum unchanged.
     """
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+        return np.add.reduce(np.bitwise_count(words), axis=-1, dtype=np.int64)
     as_bytes = np.ascontiguousarray(words).view(np.uint8)
     return _POPCOUNT_TABLE[as_bytes].sum(axis=-1, dtype=np.int64)
 
@@ -196,10 +196,11 @@ def _pairwise_popcount_xor(
     Both operands are cut into ``(rows, cols)`` blocks sized by
     :func:`_block_shape` so the XOR temporary and the per-element
     popcounts are reduced while still L2-resident; the scratch buffers
-    are allocated once per call and reused across blocks.  When one
-    block covers the whole product — a point query against the cluster
-    or model words — it is XOR-ed and reduced directly, without block
-    scratch.  On numpy with ``np.bitwise_count`` the popcount is a single
+    are allocated once per call and reused across blocks.  When the
+    whole product's XOR temporary fits the budget — one product of the
+    operand shapes, checked before any block shape is derived, true for
+    a point query against the cluster or model words — it is XOR-ed and
+    reduced directly, without block scratch.  On numpy with ``np.bitwise_count`` the popcount is a single
     vectorised ufunc into a uint8 scratch; the byte-table lookup runs
     only as a fallback.
     """
@@ -207,12 +208,16 @@ def _pairwise_popcount_xor(
     m = b_words.shape[0]
     if n == 0 or m == 0:
         return np.empty((n, m), dtype=np.int64)
-    rows, cols = _block_shape(n, m, words, a_words.itemsize)
+    one_block = n * m * words * a_words.itemsize <= popcount_block_bytes()
+    if one_block:
+        rows, cols = n, m
+    else:
+        rows, cols = _block_shape(n, m, words, a_words.itemsize)
     registry = _metrics.active()
     if registry is not None:
         registry.gauge("reghd_popcount_block_rows").set(rows)
         registry.gauge("reghd_popcount_block_cols").set(cols)
-    if rows == n and cols == m:
+    if one_block:
         return _popcount_sum(
             np.bitwise_xor(a_words[:, np.newaxis, :], b_words[np.newaxis])
         )
@@ -284,8 +289,9 @@ def packed_sign_products(
         raise DimensionalityError(
             f"packed widths differ: {a_words.shape[1]} vs {b_words.shape[1]}"
         )
-    hamming = _pairwise_popcount_xor(a_words, b_words)
-    return (dim - 2 * hamming).astype(np.float64)
+    # -2h converts to float64 exactly, and adding dim is exact too.
+    products = np.multiply(_pairwise_popcount_xor(a_words, b_words), -2.0)
+    return np.add(products, dim, out=products)
 
 
 def packed_hamming_similarity(

@@ -26,6 +26,7 @@ into the v2 state shape on load.
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 import zipfile
@@ -102,10 +103,30 @@ def save_model(
     counters, drift-detector internals) next to the model it belongs to.
     Retrieve it with :func:`read_metadata`.
     """
+    path = pathlib.Path(path)
+    np.savez(path, **_npz_members(model, extra))
+    # np.savez appends .npz when missing; normalise the returned path.
+    return path if path.suffix == ".npz" else path.with_suffix(
+        path.suffix + ".npz"
+    )
+
+
+def model_bytes(model: object, *, extra: dict | None = None) -> bytes:
+    """The ``.npz`` file :func:`save_model` writes, built in memory.
+
+    Checkpointing writes these bytes itself, so it can checksum exactly
+    what it publishes without reading the file back.
+    """
+    buffer = io.BytesIO()
+    np.savez(buffer, **_npz_members(model, extra))
+    return buffer.getvalue()
+
+
+def _npz_members(model: object, extra: dict | None) -> dict:
+    """The ``_meta`` blob and state arrays of a trained model's file."""
     if not getattr(model, "fitted", False):
         raise ConfigurationError("cannot save an unfitted model")
     model_type = model_type_of(model)
-    path = pathlib.Path(path)
     meta, arrays = model.get_state()
     if not arrays:
         raise ConfigurationError(
@@ -122,12 +143,7 @@ def save_model(
     }
     if extra is not None:
         meta["extra"] = extra
-
-    np.savez(path, _meta=np.array(json.dumps(meta)), **arrays)
-    # np.savez appends .npz when missing; normalise the returned path.
-    return path if path.suffix == ".npz" else path.with_suffix(
-        path.suffix + ".npz"
-    )
+    return {"_meta": np.array(json.dumps(meta)), **arrays}
 
 
 def _load_npz_and_meta(

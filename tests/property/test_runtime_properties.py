@@ -131,7 +131,7 @@ class TestSegmentSum:
         )
 
 
-class TestPackedWordsCache:
+class TestLiveOperandWords:
     @given(
         seed=st.integers(min_value=0, max_value=50),
         k=st.integers(min_value=1, max_value=8),
@@ -357,6 +357,23 @@ class TestFusedEncodePack:
         assert fused_block_cols(4096, n) == width
         self._check_against_unfused(n, n, 6, 4096)
 
+    @pytest.mark.parametrize("dim", [64, 4000, 4096])
+    @pytest.mark.parametrize("n", [1, 8, 9, 31])
+    def test_edge_shapes_match_unfused_pipeline(self, n, dim):
+        """Point queries and short tiles at a one-word D, a padded D and
+        the paper's D: the words equal the unfused packing exactly, with
+        zero padding bits at D=4000, and the scales match to rtol 1e-12.
+        Only a single block spanning a 64-aligned D returns packbits'
+        own output; every other layout copies into the scratch words."""
+        words, scratch = self._check_against_unfused(n, n, 6, dim)
+        single_aligned = scratch.block_cols == dim
+        assert single_aligned is (dim == 64 or (dim == 4096 and n <= 8))
+        assert (scratch.words is None) is single_aligned
+        if not single_aligned:
+            assert np.shares_memory(words, scratch.words)
+        if dim % 64:
+            assert not (words[:, -1] >> np.uint64(dim % 64)).any()
+
     @staticmethod
     def _check_against_unfused(seed, n, features, dim):
         from repro.encoding.nonlinear import NonlinearEncoder
@@ -371,10 +388,12 @@ class TestFusedEncodePack:
             np.sin(enc.phases),
         )
         X = rng.normal(size=(n, features))
-        words, scales = encode_pack_tile(X, operands, FusedScratch(n, dim))
+        scratch = FusedScratch(n, dim)
+        words, scales = encode_pack_tile(X, operands, scratch)
         S = enc.encode_batch(X)
         np.testing.assert_array_equal(words, pack_sign_words(S))
         norms = np.maximum(np.linalg.norm(S, axis=1), 1e-12)
         np.testing.assert_allclose(
             scales, np.mean(np.abs(S), axis=1) / norms, rtol=1e-12
         )
+        return words, scratch

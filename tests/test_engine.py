@@ -183,6 +183,20 @@ class TestTileScratch:
         assert scratch.fused.block_cols == 4096
         assert scratch.nbytes < 1 << 20
 
+    @pytest.mark.parametrize("dim", [64, 4000, 4096])
+    def test_fused_plan_matches_model_at_edge_shapes(self, dim):
+        """The fused plan at a one-word D, a padded D and the paper's D
+        agrees with the model on 1-, 8-, 9- and 31-row batches: single
+        aligned blocks, padded words and multi-block tiles alike."""
+        model = _fitted(dim=dim)
+        plan = model.compile(backend="packed_v2")
+        assert plan.fused_encode
+        for n in (1, 8, 9, 31):
+            X, _ = _task(seed=n, n=n)
+            np.testing.assert_allclose(
+                plan.predict(X), model.predict(X), rtol=1e-9, atol=1e-10
+            )
+
     def test_tall_fused_tile_footprint_is_unchanged(self):
         """Tall fused tiles keep 1024-column slabs: 1404 rows × (two
         float64 and one bool slab of 1024 columns, 64 words, two

@@ -7,6 +7,7 @@ from repro import MultiModelRegHD, RegHDConfig
 from repro.core import ConvergencePolicy
 from repro.exceptions import CheckpointCorruptError, RecoveryError
 from repro.reliability import CheckpointManager, file_crc
+from repro.reliability import checkpoint
 
 CONFIG = RegHDConfig(
     dim=128, n_models=3, seed=0, convergence=ConvergencePolicy(max_epochs=4, patience=2)
@@ -25,6 +26,36 @@ class TestSaveAndNaming:
         info = CheckpointManager(tmp_path).save(model, batch=7)
         assert info.path.name == f"ckpt-00000007-{info.crc:08x}.npz"
         assert file_crc(info.path) == info.crc
+
+    def test_save_checksums_the_bytes_it_writes(
+        self, model, tmp_path, rng, monkeypatch
+    ):
+        """A save serialises once and names the file by the CRC of the
+        bytes it writes: it reads nothing back, the CRC in the published
+        name equals the file's, and load_latest restores bit-exactly."""
+        reads = []
+        read_bytes = checkpoint._read_bytes
+
+        def counting(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(checkpoint, "_read_bytes", counting)
+        manager = CheckpointManager(tmp_path)
+        info = manager.save(model, batch=4, extra={"stream": {"batch": 4}})
+        assert reads == []
+        assert file_crc(info.path) == info.crc
+        loaded, extra, latest = manager.load_latest()
+        assert latest == info
+        assert extra == {"stream": {"batch": 4}}
+        meta, arrays = model.get_state()
+        loaded_meta, loaded_arrays = loaded.get_state()
+        assert loaded_meta == meta
+        assert loaded_arrays.keys() == arrays.keys()
+        for name, values in arrays.items():
+            np.testing.assert_array_equal(loaded_arrays[name], values)
+        X = rng.normal(size=(16, 4))
+        np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
 
     def test_no_temp_files_left_behind(self, model, tmp_path):
         CheckpointManager(tmp_path).save(model, batch=1)

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro import RegHDConfig
 from repro.exceptions import ConfigurationError, DataGuardError
-from repro.reliability import GuardPolicy, InputGuard
+from repro.reliability import (
+    GuardPolicy,
+    InputGuard,
+    ResilientStreamingRegHD,
+    Watchdog,
+)
 from repro.reliability.guards import coerce_policy
 from repro.robust import MahalanobisGate
+from repro.robust import gate as gate_module
 
 
 @pytest.fixture
@@ -326,3 +333,87 @@ class TestDegenerateCovariance:
         y_probe = 2.0 * X_probe[:, 0]
         _, _, report = guard.check(X_probe, y_probe)
         assert report.n_gated_rows >= 1
+
+
+class TestGatePartitionCache:
+    """The gate derives its partitioned moments once per moment update
+    and serves every read in between from that one derivation."""
+
+    def test_one_eigendecomposition_per_moment_change(self, rng, monkeypatch):
+        """Cycles shaped like a mixed read/write stream (twenty 8-row
+        reads, then one labelled 32-row batch) eigendecompose Sigma_xx
+        once per moment change, not once per score (22 per cycle)."""
+        guard = _warm_guard(rng)
+        calls = []
+        clipped_eigh = gate_module.clipped_eigh
+
+        def counting(cov):
+            calls.append(1)
+            return clipped_eigh(cov)
+
+        monkeypatch.setattr(gate_module, "clipped_eigh", counting)
+        for cycle in range(1, 4):
+            weight = guard.gate.tracker.weight
+            for _ in range(20):
+                X, _ = _linear_batches(rng, 8)
+                guard.check(X)
+            X, y = _linear_batches(rng, 32)
+            guard.check(X, y)
+            assert guard.gate.tracker.weight > weight
+            assert len(calls) == cycle
+
+    def test_scores_match_a_rebuilt_gate_after_every_state_change(
+        self, rng, tmp_path
+    ):
+        """After filter(X, y), set_state and a watchdog rollback, scores
+        bit-equal those of a gate rebuilt from the same state."""
+        X_probe, y_probe = _linear_batches(rng, 16, 4)
+        X_probe[0] += 20.0
+
+        def assert_current(gate):
+            rebuilt = MahalanobisGate.from_state(gate.get_state())
+            for args in ((X_probe,), (X_probe, y_probe)):
+                ours, theirs = gate.score(*args), rebuilt.score(*args)
+                np.testing.assert_array_equal(ours.keep, theirs.keep)
+                np.testing.assert_array_equal(ours.leverage, theirs.leverage)
+                if len(args) == 2:
+                    np.testing.assert_array_equal(
+                        ours.residual, theirs.residual
+                    )
+
+        gate = MahalanobisGate(4, warmup=32)
+        gate.filter(*_linear_batches(rng, 64, 4))
+        assert_current(gate)
+        gate.filter(*_linear_batches(rng, 40, 4))
+        assert_current(gate)
+
+        other = MahalanobisGate(4, warmup=32)
+        X, y = _linear_batches(rng, 80, 4)
+        other.filter(3.0 * X, -y)
+        gate.set_state(other.get_state())
+        assert_current(gate)
+
+        # A gate that scores but never excludes lets poisoned targets
+        # reach the model, so the watchdog fires and rolls back.
+        stream = ResilientStreamingRegHD(
+            4,
+            RegHDConfig(dim=256, n_models=2, seed=0),
+            guard=InputGuard(
+                4, policy="mahalanobis", gate=MahalanobisGate(4, warmup=10**6)
+            ),
+            checkpoint_dir=tmp_path,
+            checkpoint_every=5,
+            watchdog=Watchdog(baseline_batches=10, window=3, fail_factor=4.0),
+            forgetting=1.0,
+        )
+        for _ in range(20):
+            stream.update(*_linear_batches(rng, 48, 4))
+        saved = stream.guard.gate.get_state()
+        for _ in range(10):
+            X, _ = _linear_batches(rng, 48, 4)
+            stream.guard.gate.score(X)
+            if stream.update(X, np.full(48, 1e4)).rolled_back:
+                break
+        assert stream.rollbacks
+        assert stream.guard.gate.get_state() == saved
+        assert_current(stream.guard.gate)

@@ -563,7 +563,7 @@ class TestServingMetrics:
             ).snapshot()
             assert n >= 1, stage
 
-    def test_multithreaded_serving_counts_all_tiles(self, tiny_regression):
+    def test_tiled_serving_counts_every_tile(self, tiny_regression):
         """Every tile of one call lands in the stage histograms."""
         X_train, y_train, X_test, _ = tiny_regression
         reg = telemetry.enable()
