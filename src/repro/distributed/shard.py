@@ -14,9 +14,11 @@ harness around that algebra:
   ``n_workers=0`` runs the workers inline (same code path, no
   processes); ``n_workers>0`` fans out over a ``fork`` process pool
   with the state protocol (``get_state``/``set_state``) as the wire
-  format.  Reduction always happens in shard-id order regardless of
-  worker completion order, so the merge order — and therefore every
-  bit of the merged model — cannot depend on scheduling.
+  format.  Each pool worker pins its BLAS to one thread, so N workers
+  run N BLAS threads rather than N times the host's cores.  Reduction
+  always happens in shard-id order regardless of worker completion
+  order, so the merge order — and therefore every bit of the merged
+  model — cannot depend on scheduling.
 
 Parity guarantees (enforced by tests/test_distributed.py and the golden
 suite):
@@ -36,9 +38,11 @@ suite):
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import pathlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-import multiprocessing
 
 import numpy as np
 
@@ -64,13 +68,42 @@ def shard_indices(n_rows: int, n_shards: int) -> list[np.ndarray]:
     return np.array_split(np.arange(n_rows), n_shards)
 
 
-def _train_shard(payload: tuple) -> tuple[int, ModelDelta]:
+#: whether this process's BLAS runs on one pinned thread; only the pool
+#: initializer sets it, in the worker process it initialises
+_BLAS_PINNED = False
+
+
+def _pin_blas_thread() -> None:
+    """Pool initializer: run this worker's BLAS on one thread.
+
+    numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*``)
+    exports ``scipy_openblas_set_num_threads64_``.  Where no such library
+    or symbol exists (another BLAS build), nothing changes, and
+    :attr:`ShardRoundReport.blas_pinned` says so.
+    """
+    global _BLAS_PINNED
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+        _BLAS_PINNED = True
+        return
+
+
+def _train_shard(payload: tuple) -> tuple[int, ModelDelta, bool]:
     """Worker body: rebuild the broadcast model, train, capture the delta.
 
     Module-level so the ``fork``/``spawn`` pool can pickle it; the
     payload is ``(shard_id, model_type, meta, arrays, X, y,
     batch_rows)`` — the state-protocol tuple is the wire format, so
     anything that round-trips through ``get_state`` can train remotely.
+    Also returns whether this process's BLAS is pinned to one thread.
     """
     shard_id, model_type, meta, arrays, X, y, batch_rows = payload
     worker = model_class(model_type).from_state(meta, arrays)
@@ -78,7 +111,7 @@ def _train_shard(payload: tuple) -> tuple[int, ModelDelta]:
     step = batch_rows or len(y) or 1
     for start in range(0, len(y), step):
         worker.partial_fit(X[start : start + step], y[start : start + step])
-    return shard_id, worker.capture_delta()
+    return shard_id, worker.capture_delta(), _BLAS_PINNED
 
 
 @dataclass
@@ -91,6 +124,9 @@ class ShardRoundReport:
     shard_bytes: int = 0
     merged_bytes: int = 0
     merged: ModelDelta | None = None
+    #: every worker process ran its BLAS on one pinned thread (False
+    #: inline, and where the BLAS offers no pin)
+    blas_pinned: bool = False
 
 
 class ShardTrainer:
@@ -178,6 +214,13 @@ class ShardTrainer:
         sequential ``partial_fit`` stream would) so all shards share
         one target space.
         """
+        return self._map(X, y)[0]
+
+    def _map(
+        self, X: ArrayLike, y: ArrayLike
+    ) -> tuple[list[ModelDelta], bool]:
+        """:meth:`map`, plus whether every shard trained on one pinned
+        BLAS thread."""
         X_arr = check_2d("X", X)
         y_arr = check_1d("y", y)
         check_matching_lengths("X", X_arr, "y", y_arr)
@@ -208,13 +251,16 @@ class ShardTrainer:
             else:
                 ctx = multiprocessing.get_context(self.mp_context)
                 with ProcessPoolExecutor(
-                    max_workers=self.n_workers, mp_context=ctx
+                    max_workers=self.n_workers,
+                    mp_context=ctx,
+                    initializer=_pin_blas_thread,
                 ) as pool:
                     results = list(pool.map(_train_shard, payloads))
         # Ordered reduction: sort by shard id so worker completion order
         # can never reorder the merge (merge order cannot change bits).
         results.sort(key=lambda item: item[0])
-        deltas = [delta for _, delta in results]
+        deltas = [delta for _, delta, _ in results]
+        pinned = bool(results) and all(item[2] for item in results)
 
         registry = _metrics.active()
         if registry is not None:
@@ -228,7 +274,7 @@ class ShardTrainer:
             registry.counter(
                 "reghd_distributed_delta_bytes_total", direction="shard"
             ).inc(int(sum(d.nbytes for d in deltas)))
-        return deltas
+        return deltas, pinned
 
     # -- the reduce half ---------------------------------------------------
 
@@ -246,7 +292,7 @@ class ShardTrainer:
     def train(self, X: ArrayLike, y: ArrayLike) -> ShardRoundReport:
         """One full round: map, ordered reduce, apply to the base model."""
         with span("distributed/round"):
-            deltas = self.map(X, y)
+            deltas, pinned = self._map(X, y)
             merged = self.reduce(deltas)
             self.model.apply_delta(merged)
         registry = _metrics.active()
@@ -258,6 +304,7 @@ class ShardTrainer:
             shard_samples=[int(d.n_samples) for d in deltas],
             shard_bytes=int(sum(d.nbytes for d in deltas)),
             merged_bytes=int(merged.nbytes),
+            blas_pinned=pinned,
             merged=merged,
         )
 

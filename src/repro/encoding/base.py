@@ -19,6 +19,18 @@ from repro.types import ArrayLike, BinaryArray, BipolarArray, FloatArray
 from repro.utils.validation import check_2d
 
 
+def frozen(values: ArrayLike) -> FloatArray:
+    """A read-only float64 copy of ``values``.
+
+    Registered encoders store their random arrays through this, at
+    construction and in ``from_state``: the arrays never change, so a
+    checkpoint directory can hold them once for every checkpoint.
+    """
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 class Encoder(ABC):
     """Abstract base class for all encoders.
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.base import Encoder
+from repro.encoding.base import Encoder, frozen
 from repro.exceptions import EncodingError
 from repro.ops.generate import random_bipolar, random_gaussian
 from repro.registry import register_encoder
@@ -118,12 +118,11 @@ class NonlinearEncoder(Encoder):
         phase_rng = derive_generator(seed, 1)
         if base == "bipolar":
             # (in_features, dim) so a batch encodes as one matmul.
-            self._bases = random_bipolar(in_features, dim, base_rng).astype(
-                np.float64
-            )
+            bases = random_bipolar(in_features, dim, base_rng)
         else:
-            self._bases = random_gaussian(in_features, dim, base_rng)
-        self._phases = phase_rng.uniform(0.0, 2.0 * np.pi, size=dim)
+            bases = random_gaussian(in_features, dim, base_rng)
+        self._bases = frozen(bases)
+        self._phases = frozen(phase_rng.uniform(0.0, 2.0 * np.pi, size=dim))
 
     @property
     def bases(self) -> FloatArray:
@@ -177,8 +176,8 @@ class NonlinearEncoder(Encoder):
             base=meta["base_kind"],
             scale=meta["scale"],
         )
-        bases = np.asarray(arrays["bases"], dtype=np.float64)
-        phases = np.asarray(arrays["phases"], dtype=np.float64)
+        bases = frozen(arrays["bases"])
+        phases = frozen(arrays["phases"])
         if bases.shape != (in_features, dim) or phases.shape != (dim,):
             raise EncodingError(
                 f"encoder state arrays have shapes {bases.shape}/"

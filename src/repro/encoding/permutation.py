@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.base import Encoder
+from repro.encoding.base import Encoder, frozen
 from repro.exceptions import EncodingError
 from repro.ops.generate import random_level_set
 from repro.registry import register_encoder
@@ -61,9 +61,7 @@ class SequenceEncoder(Encoder):
         self._low = float(low)
         self._high = float(high)
         level_rng = derive_generator(seed, 0)
-        self._level_set = random_level_set(levels, dim, level_rng).astype(
-            np.float64
-        )
+        self._level_set = frozen(random_level_set(levels, dim, level_rng))
 
     @property
     def window(self) -> int:
@@ -109,7 +107,7 @@ class SequenceEncoder(Encoder):
             levels=levels,
             value_range=(float(meta["low"]), float(meta["high"])),
         )
-        level_set = np.asarray(arrays["level_set"], dtype=np.float64)
+        level_set = frozen(arrays["level_set"])
         if level_set.shape != (levels, dim):
             raise EncodingError(
                 f"encoder state array 'level_set' has shape "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.base import Encoder
+from repro.encoding.base import Encoder, frozen
 from repro.exceptions import EncodingError
 from repro.ops.generate import random_bipolar, random_gaussian
 from repro.registry import register_encoder
@@ -59,9 +59,9 @@ class RandomProjectionEncoder(Encoder):
         self._scale = float(scale)
         rng = derive_generator(seed, 0)
         if base == "bipolar":
-            self._bases = random_bipolar(in_features, dim, rng).astype(np.float64)
+            self._bases = frozen(random_bipolar(in_features, dim, rng))
         else:
-            self._bases = random_gaussian(in_features, dim, rng)
+            self._bases = frozen(random_gaussian(in_features, dim, rng))
 
     @property
     def quantize(self) -> bool:
@@ -99,7 +99,7 @@ class RandomProjectionEncoder(Encoder):
             quantize=meta["quantize"],
             scale=meta["scale"],
         )
-        bases = np.asarray(arrays["bases"], dtype=np.float64)
+        bases = frozen(arrays["bases"])
         if bases.shape != (in_features, dim):
             raise EncodingError(
                 f"encoder state array 'bases' has shape {bases.shape}, "

@@ -182,12 +182,16 @@ class InputGuard:
         """Validate one batch; returns sanitised ``(X, y, report)``.
 
         ``y`` may be omitted for inference-only batches.  Copies are made
-        only when a repair or drop actually happens.
+        only when a repair or drop actually happens, and per-row masks
+        only for a batch that fails the one whole-batch value test.
         """
         X_arr = self._as_float_2d(X)
         n_rows = len(X_arr)
         y_arr = None if y is None else self._as_float_1d(y, n_rows)
         report = GuardReport(n_rows_in=n_rows, n_rows_out=n_rows)
+        if self._admits(X_arr, y_arr):
+            # One test for the whole batch found nothing to mask.
+            return self._finish(X_arr, y_arr, report, repaired=False)
 
         bad_X = ~np.isfinite(X_arr)
         if self.value_range is not None:
@@ -203,13 +207,6 @@ class InputGuard:
             if y_arr is None
             else ~np.isfinite(y_arr)
         )
-
-        n_bad = int(bad_X.sum() + out_of_range.sum() + bad_y.sum())
-        if n_bad == 0 and self.policy is not GuardPolicy.MAHALANOBIS:
-            # Value-clean batch and no statistical gate to consult.
-            self._accumulate(report)
-            self._emit(report, "clean")
-            return X_arr, y_arr, report
 
         if bad_X.any():
             report.issues.append(
@@ -245,7 +242,33 @@ class InputGuard:
             X_arr = X_arr[keep]
             y_arr = None if y_arr is None else y_arr[keep]
             report.n_dropped_rows = int(n_rows - keep.sum())
+        return self._finish(
+            X_arr, y_arr, report,
+            repaired=self.policy is GuardPolicy.REPAIR,
+        )
 
+    def _admits(self, X: FloatArray, y: FloatArray | None) -> bool:
+        """Whether every value passes: finite, and inside ``value_range``
+        when one is set.  A batch that passes needs no per-row mask."""
+        if not np.isfinite(X).all():
+            return False
+        if y is not None and not np.isfinite(y).all():
+            return False
+        if self.value_range is None or not X.size:
+            return True
+        low, high = self.value_range
+        return bool(X.min() >= low and X.max() <= high)
+
+    def _finish(
+        self,
+        X_arr: FloatArray,
+        y_arr: FloatArray | None,
+        report: GuardReport,
+        *,
+        repaired: bool,
+    ) -> tuple[FloatArray, FloatArray | None, GuardReport]:
+        """Gate the value-clean rows (``mahalanobis``), then count and
+        report the batch."""
         # Statistical gating runs on the value-clean survivors: finite
         # rows whose leverage / residual score falls outside the gate's
         # chi-square envelope are removed as distributional outliers.
@@ -262,7 +285,7 @@ class InputGuard:
 
         report.n_rows_out = len(X_arr)
         self._accumulate(report)
-        if self.policy is GuardPolicy.REPAIR:
+        if repaired:
             outcome = "repaired"
         elif report.n_gated_rows:
             outcome = "gated"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import RegHDConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RecoveryError
 from repro.reliability.checkpoint import CheckpointInfo, CheckpointManager
 from repro.reliability.guards import GuardPolicy, GuardReport, InputGuard
 from repro.reliability.scrub import ModelScrubber, ScrubReport
@@ -41,6 +41,25 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
 from repro.telemetry.spans import span
 from repro.types import ArrayLike, FloatArray
+
+
+def _stream_snapshot(extra: dict) -> dict:
+    """The checkpointed stream state in one shape, whatever wrote it.
+
+    A checkpoint stores the conformal window as an array and the history
+    in the journal; older checkpoints kept both inline.  This puts them
+    back inline.
+    """
+    stream = dict(extra.get("stream", {}))
+    window = extra.get("arrays", {}).get("conformal_residuals")
+    if window is not None:
+        stream["conformal"] = {**stream["conformal"], "residuals": window}
+    if "records" in extra:
+        stream["history"] = {
+            **stream.get("history", {}),
+            "reports": extra["records"],
+        }
+    return stream
 
 
 @dataclass
@@ -91,7 +110,9 @@ class ResilientStreamingRegHD(StreamingRegHD):
     checkpoint_dir / checkpoint_every / keep_checkpoints:
         Enable rotating CRC-checked checkpoints every N batches
         (``checkpoint_every=0`` checkpoints only on explicit
-        :meth:`checkpoint` calls).
+        :meth:`checkpoint` calls).  The directory must hold no
+        checkpoints: a stream that already wrote some resumes through
+        :meth:`recover`, and a new stream would mix its files with them.
     watchdog:
         A :class:`Watchdog`; on ``FAILED`` the model is rolled back to the
         newest valid checkpoint (when a checkpoint directory is set).
@@ -125,11 +146,19 @@ class ResilientStreamingRegHD(StreamingRegHD):
         if isinstance(guard, (GuardPolicy, str)):
             guard = InputGuard(in_features, policy=guard)
         self.guard = guard
-        self.checkpoints = (
-            CheckpointManager(checkpoint_dir, keep=keep_checkpoints)
-            if checkpoint_dir is not None
-            else None
-        )
+        self.checkpoints = None
+        if checkpoint_dir is not None:
+            self.checkpoints = CheckpointManager(
+                checkpoint_dir, keep=keep_checkpoints
+            )
+            if self.checkpoints.checkpoints():
+                raise ConfigurationError(
+                    f"{checkpoint_dir} already holds checkpoints: resume "
+                    "their stream with ResilientStreamingRegHD.recover(), "
+                    "or give this stream an empty directory"
+                )
+        #: the newest report a checkpoint has journaled
+        self._journaled: StreamBatchReport | None = None
         self.checkpoint_every = int(checkpoint_every)
         self.watchdog = watchdog
         self.scrub_every = int(scrub_every)
@@ -202,8 +231,7 @@ class ResilientStreamingRegHD(StreamingRegHD):
         )
         # super().update appended its own plain report; replace it with
         # the enriched one so history stays one-entry-per-batch.
-        self.history.reports.pop()
-        self.history.reports.append(report)
+        self.history.reports[-1] = report
 
         if self.watchdog is not None and base.prequential_mse is not None:
             trigger = float(np.sqrt(base.prequential_mse))
@@ -236,8 +264,13 @@ class ResilientStreamingRegHD(StreamingRegHD):
             and not report.rolled_back
             and self._batch_counter % self.checkpoint_every == 0
         ):
-            self.checkpoint()
+            # Marked before the save, so the journaled report says so.
             report.checkpointed = True
+            try:
+                self.checkpoint()
+            except BaseException:
+                report.checkpointed = False
+                raise
         return report
 
     def predict(self, X: ArrayLike) -> FloatArray:
@@ -249,7 +282,10 @@ class ResilientStreamingRegHD(StreamingRegHD):
 
     # -- checkpointing / recovery ------------------------------------------
 
-    def _stream_state(self) -> dict:
+    def _stream_state(self) -> tuple[dict, dict]:
+        """The stream's per-save state: JSON, plus the conformal residual
+        window as an array."""
+        arrays = {}
         state: dict = {
             "batch": self._batch_counter,
             "forgetting": self.forgetting,
@@ -264,23 +300,40 @@ class ResilientStreamingRegHD(StreamingRegHD):
         if self.watchdog is not None:
             state["watchdog"] = self.watchdog.get_state()
         if self.conformal is not None:
-            state["conformal"] = self.conformal.get_state()
+            conformal = self.conformal.get_state()
+            arrays["conformal_residuals"] = np.array(
+                conformal.pop("residuals"), dtype=np.float64
+            )
+            state["conformal"] = conformal
         if self.guard is not None and self.guard.gate is not None:
             state["guard_gate"] = self.guard.gate.get_state()
-        state["history"] = self.history.get_state()
-        return state
+        # The reports themselves go to the checkpoint journal.
+        state["history"] = {"max_reports": self.history.max_reports}
+        return state, arrays
 
     def checkpoint(self) -> CheckpointInfo:
-        """Persist the current model + stream state, atomically."""
+        """Persist the current model + stream state, atomically.
+
+        The history reports added since the previous checkpoint are
+        appended to the directory's journal, so a save's cost does not
+        grow with the stream.
+        """
         if self.checkpoints is None:
             raise ConfigurationError(
                 "no checkpoint_dir was configured for this stream"
             )
-        return self.checkpoints.save(
+        state, arrays = self._stream_state()
+        info = self.checkpoints.save(
             self.model,
             batch=self._batch_counter,
-            extra={"stream": self._stream_state()},
+            extra={"stream": state},
+            arrays=arrays,
+            records=self.history.records_since(self._journaled),
+            retain=self.history.max_reports,
         )
+        reports = self.history.reports
+        self._journaled = reports[-1] if reports else None
+        return info
 
     def _restore(self, model, extra: dict) -> int:
         """Copy a restored model + stream state into this instance.
@@ -294,7 +347,7 @@ class ResilientStreamingRegHD(StreamingRegHD):
         # .replace copies into the existing buffers), so scrubber shadows
         # and other references to self.model's arrays stay valid.
         self.model.set_state(*model.get_state())
-        stream = extra.get("stream", {})
+        stream = _stream_snapshot(extra)
         self._batch_counter = int(stream.get("batch", self._batch_counter))
         detector_state = stream.get("detector")
         if self.detector is not None and detector_state is not None:
@@ -302,6 +355,13 @@ class ResilientStreamingRegHD(StreamingRegHD):
         history_state = stream.get("history")
         if history_state is not None:
             self.history.set_state(history_state)
+        # Reports restored from a journal are in it already; inline ones
+        # (an older checkpoint) go into the next save's journal.
+        self._journaled = (
+            self.history.reports[-1]
+            if "records" in extra and self.history.reports
+            else None
+        )
         conformal_state = stream.get("conformal")
         if self.conformal is not None and conformal_state is not None:
             # Rolling back the model without rolling back the calibration
@@ -331,11 +391,11 @@ class ResilientStreamingRegHD(StreamingRegHD):
         """
         if self.checkpoints is None:
             return False
-        info = self.checkpoints.latest_valid()
-        if info is None:
+        try:
+            model, extra, info = self.checkpoints.load_latest()
+        except RecoveryError:
             return False
         failed_at = self._batch_counter
-        model, extra = self.checkpoints.load(info)
         restored = self._restore(model, extra)
         if self.watchdog is not None:
             # The window is full of the divergent errors that fired the
@@ -385,7 +445,7 @@ class ResilientStreamingRegHD(StreamingRegHD):
         """
         manager = CheckpointManager(checkpoint_dir, keep=keep_checkpoints)
         model, extra, _ = manager.load_latest()
-        stream = extra.get("stream", {})
+        stream = _stream_snapshot(extra)
         detector_meta = stream.get("detector")
         if detector is None and detector_meta is not None:
             detector = PageHinkley(
@@ -409,9 +469,9 @@ class ResilientStreamingRegHD(StreamingRegHD):
             drift_shrink=float(stream.get("drift_shrink", 0.1)),
             detector=detector,
             watchdog=watchdog,
-            checkpoint_dir=checkpoint_dir,
-            keep_checkpoints=keep_checkpoints,
             **kwargs,
         )
+        # The manager that loaded the checkpoint continues its directory.
+        instance.checkpoints = manager
         instance._restore(model, extra)
         return instance

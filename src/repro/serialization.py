@@ -21,7 +21,9 @@ arrays flat at the top level.  ``_meta`` carries ``format_version``,
 validate the file against tampering/truncation, and the optional
 ``extra`` payload.  Format-v1 files (the pre-registry isinstance-ladder
 era) are still readable: :func:`_upgrade_v1` rewrites their metadata
-into the v2 state shape on load.
+into the v2 state shape on load.  Delta, encoder and checkpoint files
+share the container (:func:`npz_bytes` / :func:`read_npz`), marked by
+a ``kind`` entry; a model file has none and is self-contained.
 """
 
 from __future__ import annotations
@@ -104,26 +106,24 @@ def save_model(
     Retrieve it with :func:`read_metadata`.
     """
     path = pathlib.Path(path)
-    np.savez(path, **_npz_members(model, extra))
-    # np.savez appends .npz when missing; normalise the returned path.
-    return path if path.suffix == ".npz" else path.with_suffix(
-        path.suffix + ".npz"
-    )
+    # np.savez appends .npz when missing; name the file the same way.
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
+    path.write_bytes(model_bytes(model, extra=extra))
+    return path
 
 
 def model_bytes(model: object, *, extra: dict | None = None) -> bytes:
-    """The ``.npz`` file :func:`save_model` writes, built in memory.
-
-    Checkpointing writes these bytes itself, so it can checksum exactly
-    what it publishes without reading the file back.
-    """
-    buffer = io.BytesIO()
-    np.savez(buffer, **_npz_members(model, extra))
-    return buffer.getvalue()
+    """The ``.npz`` file :func:`save_model` writes, built in memory."""
+    meta, arrays = model_state(model)
+    if extra is not None:
+        meta["extra"] = extra
+    return npz_bytes(meta, arrays)
 
 
-def _npz_members(model: object, extra: dict | None) -> dict:
-    """The ``_meta`` blob and state arrays of a trained model's file."""
+def model_state(model: object) -> tuple[dict, dict[str, np.ndarray]]:
+    """A trained model's ``(meta, arrays)``, stamped with the registry
+    name every model file carries."""
     if not getattr(model, "fitted", False):
         raise ConfigurationError("cannot save an unfitted model")
     model_type = model_type_of(model)
@@ -133,24 +133,60 @@ def _npz_members(model: object, extra: dict | None) -> dict:
             f"model of type {type(model).__name__} produced no state arrays"
         )
     meta = dict(meta)
-    meta["format_version"] = _FORMAT_VERSION
     meta["model_type"] = model_type
+    return meta, arrays
+
+
+def npz_bytes(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """One ``.npz`` container, built in memory: a ``_meta`` JSON blob that
+    records the format version and every array's shape and dtype, then
+    the arrays.
+
+    Model, delta and checkpoint files all use this container;
+    :func:`read_npz` reads it back.  Writers that checksum what they
+    publish hash these bytes, so nothing is read back to name a file.
+    """
+    meta = dict(meta)
+    meta["format_version"] = _FORMAT_VERSION
     meta["shapes"] = {
         name: list(np.asarray(value).shape) for name, value in arrays.items()
     }
     meta["dtypes"] = {
         name: str(np.asarray(value).dtype) for name, value in arrays.items()
     }
-    if extra is not None:
-        meta["extra"] = extra
-    return {"_meta": np.array(json.dumps(meta)), **arrays}
+    buffer = io.BytesIO()
+    np.savez(buffer, _meta=np.array(json.dumps(meta)), **arrays)
+    return buffer.getvalue()
+
+
+def read_npz(
+    source: str | pathlib.Path | bytes,
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Decode an :func:`npz_bytes` container from a path or from its bytes.
+
+    Returns the metadata and every array, each validated against the
+    shape and dtype the metadata records; any failure is a
+    :class:`ConfigurationError`.
+    """
+    if isinstance(source, bytes):
+        path = pathlib.Path("<bytes>")
+        data, meta = _load_npz_and_meta(io.BytesIO(source), path)
+    else:
+        path = pathlib.Path(source)
+        data, meta = _load_npz_and_meta(path, path)
+    return meta, _read_arrays_v2(data, meta, path)
+
+
+def model_from_state(meta: dict, arrays: dict[str, np.ndarray]) -> object:
+    """Rebuild a model from its file state through the model registry."""
+    return model_class(meta.get("model_type")).from_state(meta, arrays)
 
 
 def _load_npz_and_meta(
-    path: pathlib.Path,
+    source: pathlib.Path | io.BytesIO, path: pathlib.Path
 ) -> tuple[np.lib.npyio.NpzFile, dict]:
     try:
-        data = np.load(path, allow_pickle=False)
+        data = np.load(source, allow_pickle=False)
     except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
         raise ConfigurationError(
             f"{path}: not a readable .npz file (corrupt or truncated): {exc}"
@@ -178,7 +214,8 @@ def read_metadata(path: str | pathlib.Path) -> dict:
     was stored.  Raises :class:`ConfigurationError` for files that are not
     valid repro model files.
     """
-    _, meta = _load_npz_and_meta(pathlib.Path(path))
+    path = pathlib.Path(path)
+    _, meta = _load_npz_and_meta(path, path)
     return meta
 
 
@@ -336,37 +373,26 @@ def save_delta(
     if not arrays:
         raise ConfigurationError("cannot save a delta with no arrays")
     meta = {
-        "format_version": _FORMAT_VERSION,
         "kind": "delta",
         "model_type": delta.model_type,
         "fingerprint": delta.fingerprint,
         "n_samples": int(delta.n_samples),
         "moments": delta.moments.to_meta(),
         "counted": sorted(delta.row_counts),
-        "shapes": {
-            name: list(np.asarray(value).shape)
-            for name, value in arrays.items()
-        },
-        "dtypes": {
-            name: str(np.asarray(value).dtype)
-            for name, value in arrays.items()
-        },
     }
-    np.savez(path, _meta=np.array(json.dumps(meta)), **arrays)
-    return path if path.suffix == ".npz" else path.with_suffix(
-        path.suffix + ".npz"
-    )
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
+    path.write_bytes(npz_bytes(meta, arrays))
+    return path
 
 
 def load_delta(path: str | pathlib.Path) -> ModelDelta:
     """Restore a delta saved with :func:`save_delta` (bit-exact)."""
-    path = pathlib.Path(path)
-    data, meta = _load_npz_and_meta(path)
+    meta, arrays = read_npz(path)
     if meta.get("kind") != "delta":
         raise ConfigurationError(
             f"{path} is a model file, not a delta file — use load_model"
         )
-    arrays = _read_arrays_v2(data, meta, path)
     row_counts = {
         name[len(_ROWCOUNT_PREFIX) :]: arrays.pop(name)
         for name in list(arrays)
@@ -398,14 +424,18 @@ def load_model(path: str | pathlib.Path) -> object:
     class is resolved through :data:`~repro.registry.MODEL_REGISTRY`.
     """
     path = pathlib.Path(path)
-    data, meta = _load_npz_and_meta(path)
+    data, meta = _load_npz_and_meta(path, path)
     if meta.get("kind") == "delta":
         raise ConfigurationError(
             f"{path} is a delta file, not a model file — use load_delta"
+        )
+    if meta.get("kind") == "checkpoint":
+        raise ConfigurationError(
+            f"{path} is a checkpoint, whose encoder and history live in "
+            "files beside it — restore it with CheckpointManager.load"
         )
     if meta["format_version"] == 1:
         meta, arrays = _upgrade_v1(data, meta, path)
     else:
         arrays = _read_arrays_v2(data, meta, path)
-    cls = model_class(meta.get("model_type"))
-    return cls.from_state(meta, arrays)
+    return model_from_state(meta, arrays)

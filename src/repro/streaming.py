@@ -229,6 +229,19 @@ class StreamHistory:
             "reports": [_encode_value(r) for r in self.reports],
         }
 
+    def records_since(self, last: StreamBatchReport | None) -> list[dict]:
+        """JSON records of the retained reports appended after ``last``.
+
+        All retained reports when ``last`` is None or no longer retained.
+        A checkpoint journals these, so each report is encoded once.
+        """
+        new = []
+        for report in reversed(self.reports):
+            if report is last:
+                break
+            new.append(report)
+        return [_encode_value(report) for report in reversed(new)]
+
     def set_state(self, state: dict) -> None:
         """Restore a snapshot captured by :meth:`get_state`."""
         self.max_reports = state.get("max_reports")

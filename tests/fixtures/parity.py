@@ -15,7 +15,11 @@ Equal hashes mean bit-identical outputs.  The hash covers:
   D=4000 (a padded last word);
 * one ``ResilientStreamingRegHD`` run with the Mahalanobis guard and a
   checkpoint after every update: its 8-row predictions, the prequential
-  error of every update and the gate's leverage and residual scores.
+  error of every update and the gate's leverage and residual scores;
+* that stream recovered from a copy of its checkpoint directory: the
+  recovered stream's predictions on the same read rows, then the
+  prequential errors of 4 more batches fed to the live and the
+  recovered stream alike.
 
 The models train under whatever backend ``REPRO_BACKEND`` selects, so
 the hash differs between settings; compare trees setting by setting.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import pathlib
+import shutil
 import sys
 import tempfile
 
@@ -71,7 +76,8 @@ def plan_outputs(feed) -> None:
 
 
 def stream_outputs(feed) -> None:
-    """One guarded, checkpointed stream: predictions, errors, gate scores."""
+    """One guarded, checkpointed stream: predictions, errors, gate scores,
+    and the same stream recovered from its checkpoints."""
     rng = np.random.default_rng(SEED + 1)
     config = RegHDConfig(
         dim=4096,
@@ -81,16 +87,18 @@ def stream_outputs(feed) -> None:
         predict_quant=PredictQuant.BINARY_BOTH,
     )
     with tempfile.TemporaryDirectory() as tmp:
+        live = pathlib.Path(tmp) / "live"
         stream = ResilientStreamingRegHD(
             FEATURES,
             config,
             guard="mahalanobis",
-            checkpoint_dir=tmp,
+            checkpoint_dir=live,
             checkpoint_every=1,
             watchdog=Watchdog(),
             forgetting=0.997,
         )
         gate = stream.guard.gate
+        reads = []
         for batch in range(24):
             X, y = _rows(rng, 32)
             if batch % 4 == 3:
@@ -99,6 +107,7 @@ def stream_outputs(feed) -> None:
                 y[3:6] += 25.0
             for _ in range(3 if batch else 0):
                 X_read, _ = _rows(rng, 8)
+                reads.append(X_read)
                 scores = gate.score(X_read)
                 feed(scores.leverage)
                 feed(stream.predict(X_read))
@@ -108,6 +117,21 @@ def stream_outputs(feed) -> None:
             report = stream.update(X, y)
             if report.prequential_mse is not None:
                 feed(np.array([report.prequential_mse]))
+
+        # Recover a copy of the directory, as a restart after batch 24.
+        shutil.copytree(live, pathlib.Path(tmp) / "recovered")
+        recovered = ResilientStreamingRegHD.recover(
+            pathlib.Path(tmp) / "recovered",
+            guard="mahalanobis",
+            checkpoint_every=1,
+            watchdog=Watchdog(),
+        )
+        for X_read in reads:
+            feed(recovered.predict(X_read))
+        for _ in range(4):
+            X, y = _rows(rng, 32)
+            for resumed in (stream, recovered):
+                feed(np.array([resumed.update(X, y).prequential_mse]))
 
 
 def main() -> None:

@@ -150,6 +150,53 @@ def test_process_pool_matches_inline_bit_for_bit():
     )
 
 
+def _blas_threads() -> int | None:
+    """This process's OpenBLAS thread count, read through the same bundled
+    library the pool initializer pins (None where there is none)."""
+    import ctypes
+    import pathlib
+
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            get_threads = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        return get_threads()
+    return None
+
+
+def test_pool_workers_pin_one_blas_thread():
+    """Pool workers run their BLAS on one thread where the bundled
+    OpenBLAS allows it, and the round report says whether they did;
+    an inline round pins nothing in the caller's process."""
+    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
+
+    from repro.distributed import shard
+
+    X, y = _data()
+    config = RegHDConfig(dim=128, n_models=2, seed=0)
+    inline = ShardTrainer(
+        MultiModelRegHD(5, config), n_shards=2, batch_rows=32
+    ).train(X, y)
+    assert inline.blas_pinned is False
+    pooled = ShardTrainer(
+        MultiModelRegHD(5, config), n_shards=2, n_workers=2, batch_rows=32
+    ).train(X, y)
+    assert pooled.blas_pinned is (_blas_threads() is not None)
+    with ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=shard._pin_blas_thread,
+    ) as pool:
+        worker_threads = pool.submit(_blas_threads).result()
+    if pooled.blas_pinned:
+        assert worker_threads == 1
+
+
 def test_merge_is_scheduling_independent():
     """Reducing a shuffled delta list after re-sorting by shard id gives
     the same bits — the trainer sorts, so completion order is moot."""

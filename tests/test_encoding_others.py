@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.encoding.idlevel import IDLevelEncoder
+from repro.encoding.nonlinear import NonlinearEncoder
 from repro.encoding.permutation import SequenceEncoder
 from repro.encoding.projection import RandomProjectionEncoder
 from repro.exceptions import EncodingError
@@ -140,3 +141,44 @@ class TestBinaryViews:
     def test_single_row_binary(self):
         enc = RandomProjectionEncoder(4, 128, seed=0)
         assert enc.encode_binary(np.ones(4)).shape == (128,)
+
+
+class TestFrozenArrays:
+    """Every registered encoder stores its random arrays read-only, at
+    construction and when rebuilt from state, so a checkpoint directory
+    can hold them once for all of its checkpoints."""
+
+    ENCODERS = {
+        "nonlinear": lambda: NonlinearEncoder(4, 64, seed=0),
+        "projection": lambda: RandomProjectionEncoder(4, 64, seed=0),
+        "sequence": lambda: SequenceEncoder(4, 64, seed=0, levels=8),
+    }
+
+    @staticmethod
+    def _assert_frozen(encoder):
+        _, arrays = encoder.get_state()
+        assert arrays
+        for values in arrays.values():
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[(0,) * values.ndim] = 0.0
+            with pytest.raises(ValueError):
+                values *= 2.0
+
+    @pytest.mark.parametrize("name", sorted(ENCODERS))
+    def test_constructed_arrays_are_read_only(self, name):
+        self._assert_frozen(self.ENCODERS[name]())
+
+    @pytest.mark.parametrize("name", sorted(ENCODERS))
+    def test_from_state_arrays_are_read_only(self, name):
+        encoder = self.ENCODERS[name]()
+        meta, arrays = encoder.get_state()
+        writable = {key: np.array(value) for key, value in arrays.items()}
+        rebuilt = type(encoder).from_state(meta, writable)
+        self._assert_frozen(rebuilt)
+        # The caller's arrays are copied, never locked.
+        assert all(value.flags.writeable for value in writable.values())
+        X = np.random.default_rng(1).normal(size=(5, 4))
+        np.testing.assert_array_equal(
+            rebuilt.encode_batch(X), encoder.encode_batch(X)
+        )
