@@ -24,9 +24,9 @@ from repro.engine.kernels import (
     TileScratch,
     packed_query_words,
     query_scales,
-    row_norms,
 )
 from repro.evaluation import render_table
+from repro.ops.normalize import row_norms
 from repro.runtime import (
     EncoderOperands,
     FusedScratch,

@@ -412,7 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--guard-policy",
         choices=[p.value for p in GuardPolicy],
         default=None,
-        help="input sanitisation policy (omit to disable the guard)",
+        help="input sanitisation policy (omit to disable the guard; with "
+        "--resume, omit to keep the checkpointed guard)",
     )
     stream.add_argument(
         "--scrub-every",
@@ -942,13 +943,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if not args.checkpoint_dir:
             print("--resume requires --checkpoint-dir", file=sys.stderr)
             return 1
+        # Without --guard-policy the checkpointed guard comes back.
+        guard = {} if args.guard_policy is None else {"guard": args.guard_policy}
         stream = ResilientStreamingRegHD.recover(
             args.checkpoint_dir,
             keep_checkpoints=args.keep_checkpoints,
             watchdog=watchdog,
-            guard=args.guard_policy,
             checkpoint_every=args.checkpoint_every,
             scrub_every=args.scrub_every,
+            **guard,
         )
         start_batch = stream._batch_counter
         print(f"recovered from checkpoint at batch {start_batch}")

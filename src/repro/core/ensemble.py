@@ -24,7 +24,7 @@ from repro.core.multi import MultiModelRegHD
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.registry import register_model
 from repro.types import ArrayLike, FloatArray
-from repro.utils.validation import check_2d
+from repro.utils.validation import check_2d, check_optional_pair
 
 
 @register_model("ensemble")
@@ -87,7 +87,10 @@ class RegHDEnsemble(BaseEstimator):
         X_val: ArrayLike | None = None,
         y_val: ArrayLike | None = None,
     ) -> "RegHDEnsemble":
-        """Train every member on the same data (different seeds)."""
+        """Train every member on the same data (different seeds).
+        ``X_val`` and ``y_val`` come together, checked before any member
+        trains."""
+        check_optional_pair("X_val", X_val, "y_val", y_val)
         for member in self.members:
             member.fit(X, y, X_val=X_val, y_val=y_val)
         self._fitted = True

@@ -48,7 +48,12 @@ from repro.registry import encoder_class, encoder_type_of
 from repro.runtime.query import Query
 from repro.telemetry.spans import span
 from repro.types import ArrayLike, FloatArray
-from repro.utils.validation import check_1d, check_2d, check_matching_lengths
+from repro.utils.validation import (
+    check_1d,
+    check_2d,
+    check_matching_lengths,
+    check_optional_pair,
+)
 
 StateMeta = dict
 StateArrays = "dict[str, np.ndarray]"
@@ -359,15 +364,19 @@ class BaseRegHDEstimator(BaseEstimator):
     # -- pipeline pieces ---------------------------------------------------
 
     def _encode_normalized(self, X: ArrayLike) -> FloatArray:
-        """Encode raw rows and L2-normalise each hypervector."""
-        return normalize_rows(self.encoder.encode_batch(X))
+        """Encode raw rows and L2-normalise each hypervector, in place in
+        the encoder's fresh output: the batch costs one float matrix."""
+        S = self.encoder.encode_batch(X)
+        if S.dtype != np.float64 or not S.flags.writeable:
+            S = np.array(S, dtype=np.float64)  # an encoder off the contract
+        return normalize_rows(S, out=S)
 
     def _encode_query(self, X: FloatArray) -> Query:
         """Encode + L2-normalise validated rows into one :class:`Query`.
 
-        The query caches every derivation that depends on its rows alone
-        (signs, packed words, scales, binarised rows), so one encoded
-        batch can serve a prediction and the update that follows it.
+        The query caches the packed words and scales of its rows, so one
+        encoded batch can serve a prediction and the update that follows
+        it.
         """
         return Query(self._encode_normalized(X))
 
@@ -599,14 +608,17 @@ class BaseRegHDEstimator(BaseEstimator):
         """Iteratively train on ``(X, y)`` until convergence.
 
         Validation data, if given, drives the convergence criterion;
-        otherwise training MSE is monitored.
+        otherwise training MSE is monitored.  ``X_val`` and ``y_val``
+        come together: one without the other raises
+        :class:`~repro.exceptions.ConfigurationError`.
         """
+        has_val = check_optional_pair("X_val", X_val, "y_val", y_val)
         X_arr = check_2d("X", X)
         y_arr = check_1d("y", y)
         check_matching_lengths("X", X_arr, "y", y_arr)
         query = self._encode_query(X_arr)
         val = None
-        if X_val is not None and y_val is not None:
+        if has_val:
             X_val_arr = check_2d("X_val", X_val)
             y_val_arr = check_1d("y_val", y_val)
             check_matching_lengths("X_val", X_val_arr, "y_val", y_val_arr)

@@ -208,8 +208,13 @@ class MultiModelRegHD(BaseRegHDEstimator):
         """Eq. (8): pull the most similar centre toward the input."""
         top = np.argmax(sims, axis=1)
         weights = 1.0 - sims[np.arange(len(top)), top]
+        # One copy of S, grouped by centre as segment_delta sums it and
+        # weighted in place: the same products as weights * S.
+        order = np.argsort(top, kind="stable")
+        rows = S[order]
+        np.multiply(rows, weights[order, np.newaxis], out=rows)
         delta = self.runtime.segment_delta(
-            top, weights[:, np.newaxis] * S, self.config.n_models
+            top[order], rows, self.config.n_models
         )
         # Per-cluster sample counts drive the counts-weighted merge: a
         # shard that saw most of cluster c's traffic dominates centre c.
@@ -232,16 +237,24 @@ class MultiModelRegHD(BaseRegHDEstimator):
         """One pass of mini-batch updates over a pre-encoded query.
 
         Each mini-batch is a :meth:`Query.slice` of ``S``, so it reuses
-        whatever the whole query has derived (the packed words and
-        scales :meth:`_encoded_operand` derives up front, the signs the
-        per-epoch evaluation caches).
+        the packed words and scales :meth:`_encoded_operand` derives up
+        front.  When a dense kernel reads sign rows, the mini-batch
+        builds them in one sign buffer for the epoch, and turns that
+        buffer into its binarised rows once the similarities have read
+        it, as a serving tile does.
         """
-        batch = self.config.batch_size
+        cfg = self.config
+        batch = cfg.batch_size
+        signs = None
+        if self.runtime.reads_signs(cfg.cluster_quant, cfg.predict_quant):
+            signs = np.empty((min(batch, len(order)), self.dim))
         for start in range(0, len(order), batch):
             idx = order[start : start + batch]
-            query = S.slice(idx)
+            query = S.slice(idx, signs=signs)
             sims = self._cluster_similarities(query)
             conf = self._confidences(sims)
+            if signs is not None and cfg.predict_quant.query_is_binary:
+                query.binarize_signs()
             dots = self.runtime.model_dots(query, self._model_op)
             errors = y[idx] - self.runtime.weighted_prediction(conf, dots)
             self._model_update(query.S, conf, errors)
@@ -272,14 +285,17 @@ class MultiModelRegHD(BaseRegHDEstimator):
         self.end_epoch()
 
     def _encoded_operand(self, query: Query) -> Query:
-        """The query itself, with its packed words and scales derived up
-        front when a packed kernel will read them: every slice of it then
-        carries them, so a training run packs its rows once."""
+        """The query itself, with what its kernels read besides ``S``
+        derived up front: the scales of binarised queries, and the packed
+        words when a packed kernel reads them.  Every slice of it then
+        carries them, so a training run derives them once per row."""
         cfg = self.config
+        if cfg.predict_quant.query_is_binary:
+            query.scales  # the first read derives and caches
         if self.runtime.packs_similarities(
             cfg.cluster_quant
         ) or self.runtime.packs_dots(cfg.predict_quant):
-            query.words, query.scales  # the first read derives and caches
+            query.words
         return query
 
     # -- delta hooks ---------------------------------------------------------

@@ -33,7 +33,11 @@ from repro.registry import register_model
 from repro.telemetry.spans import span
 from repro.types import ArrayLike, FloatArray
 from repro.utils.rng import derive_generator
-from repro.utils.validation import check_2d, check_matching_lengths
+from repro.utils.validation import (
+    check_2d,
+    check_matching_lengths,
+    check_optional_pair,
+)
 
 
 @register_model("multioutput")
@@ -136,13 +140,16 @@ class MultiOutputRegHD(BaseEstimator):
         Y_val: ArrayLike | None = None,
     ) -> "MultiOutputRegHD":
         """Train every output head on one shared encoding of the training
-        (and validation) rows, each with its own targets."""
+        (and validation) rows, each with its own targets.  ``X_val`` and
+        ``Y_val`` come together, as in
+        :meth:`~repro.core.estimator.BaseRegHDEstimator.fit`."""
+        has_val = check_optional_pair("X_val", X_val, "Y_val", Y_val)
         X_arr = check_2d("X", X)
         Y_arr = self._validate_targets(X_arr, Y)
         encode = self.heads[0]._encode_query
         query = encode(X_arr)
         val = None
-        if X_val is not None and Y_val is not None:
+        if has_val:
             X_val_arr = check_2d("X_val", X_val)
             Y_val_arr = self._validate_targets(X_val_arr, Y_val)
             val = (encode(X_val_arr), Y_val_arr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.config import ConvergencePolicy
 from repro.metrics import mean_squared_error
-from repro.runtime.query import Query
+from repro.runtime.query import Query, ScratchRows
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.timing import monotonic
 from repro.types import FloatArray, SeedLike
@@ -133,7 +133,31 @@ class IterativeTrainer:
         ``S_train`` and ``S_val`` are handed to the model's
         ``fit_epoch`` / ``predict_encoded`` unchanged.  Returns the
         per-epoch history; the model is updated in place.
+
+        When they are :class:`~repro.runtime.Query` objects, both
+        evaluations of every epoch build any transient binarised rows in
+        one :class:`~repro.runtime.query.ScratchRows` for the run, so
+        the whole-batch evaluation dot costs one ``(n, D)`` buffer per
+        fit rather than one allocation per call.
         """
+        queries = [S for S in (S_train, S_val) if isinstance(S, Query)]
+        scratch = ScratchRows(max([len(S.S) for S in queries], default=0))
+        for S in queries:
+            S.scratch = scratch
+        try:
+            return self._train(model, S_train, y_train, S_val, y_val)
+        finally:
+            for S in queries:
+                S.scratch = None
+
+    def _train(
+        self,
+        model: TrainableOnEncoded,
+        S_train: FloatArray | Query,
+        y_train: FloatArray,
+        S_val: FloatArray | Query | None,
+        y_val: FloatArray | None,
+    ) -> TrainingHistory:
         policy = self._policy
         history = TrainingHistory()
         plateau = 0

@@ -72,7 +72,12 @@ class Encoder(ABC):
         return self.encode_batch(arr[np.newaxis, :])[0]
 
     def encode_batch(self, X: ArrayLike) -> FloatArray:
-        """Encode a batch of feature rows into ``(n_samples, D)``."""
+        """Encode a batch of feature rows into ``(n_samples, D)``.
+
+        Returns a new writable float64 array that the caller owns: it
+        shares no memory with an earlier call's output or with the
+        encoder's own arrays, so an estimator normalises it in place.
+        """
         arr = check_2d("X", X)
         if arr.shape[1] != self._in_features:
             raise EncodingError(

@@ -26,6 +26,7 @@ import numpy as np
 from repro.encoding.base import Encoder, frozen
 from repro.exceptions import EncodingError
 from repro.ops.generate import random_bipolar, random_gaussian
+from repro.ops.normalize import block_rows
 from repro.registry import register_encoder
 from repro.types import FloatArray, SeedLike
 from repro.utils.rng import derive_generator
@@ -42,18 +43,26 @@ def encode_into(
     """Eq. (1) of the rows ``X`` written into ``out``; returns ``out``.
 
     Computes ``cos(X @ B * scale + b) * sin(X @ B * scale)`` in place:
-    ``out`` and ``tmp`` are ``(len(X), dim)`` float64 buffers, ``tmp``
-    holding the cosine term.  This is the one float implementation of
-    the encoder — :class:`NonlinearEncoder` calls it with fresh buffers,
-    the compiled engine's unfused tile with its scratch — so both encode
-    every row bit for bit alike.
+    ``out`` is a ``(len(X), dim)`` float64 buffer and ``tmp`` a
+    ``(rows, dim)`` one of at least one row, which holds the cosine term
+    of ``rows`` rows at a time.  :class:`NonlinearEncoder` passes a
+    fresh ``out`` and a one-block ``tmp`` (see
+    :func:`~repro.ops.normalize.block_rows`), so an encoded batch costs
+    one float matrix; the compiled engine's unfused tile passes
+    full-size scratch and runs in one block.  The projection is one
+    ``np.dot`` over the whole batch and the rest is elementwise, so both
+    encode every row bit for bit alike.  This is the one float
+    implementation of the encoder.
     """
     np.dot(X, bases, out=out)
     np.multiply(out, scale, out=out)
-    np.add(out, phases, out=tmp)
-    np.cos(tmp, out=tmp)
-    np.sin(out, out=out)
-    np.multiply(out, tmp, out=out)
+    step = max(len(tmp), 1)
+    for lo in range(0, len(out), step):
+        blk = out[lo : lo + step]
+        cos = np.add(blk, phases, out=tmp[: len(blk)])
+        np.cos(cos, out=cos)
+        np.sin(blk, out=blk)
+        np.multiply(blk, cos, out=blk)
     return out
 
 
@@ -145,9 +154,8 @@ class NonlinearEncoder(Encoder):
 
     def _encode_batch(self, X: FloatArray) -> FloatArray:
         out = np.empty((len(X), self.dim))
-        return encode_into(
-            X, self._bases, self._phases, self._scale, out, np.empty_like(out)
-        )
+        tmp = np.empty((min(len(X), block_rows(self.dim)), self.dim))
+        return encode_into(X, self._bases, self._phases, self._scale, out, tmp)
 
     def get_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """State-protocol snapshot: hyper-parameters plus frozen arrays."""

@@ -21,14 +21,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.encoding.nonlinear import encode_into
-from repro.engine.kernels import (
-    TileScratch,
-    packed_query_words,
-    query_scales,
-    row_norms,
-    sign_matrix,
-)
-from repro.runtime import EncoderOperands, Query
+from repro.engine.kernels import TileScratch, packed_query_words, query_scales
+from repro.ops.normalize import row_norms
+from repro.runtime import EncoderOperands, Query, kernels
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import timing as _timing
 from repro.telemetry import tracing as _tracing
@@ -94,7 +89,7 @@ def _run_tile(
             else None
         )
         words = packed_query_words(S, scratch) if plan.packed else None
-        signs = sign_matrix(S, scratch) if plan.needs_signs else None
+        signs = kernels.sign_rows(S, scratch.aux) if plan.needs_signs else None
         if plan.needs_normalized:
             np.divide(S, norms[:, np.newaxis], out=S)
         query = Query(S, signs=signs, words=words, scales=q_scales)
@@ -125,7 +120,7 @@ def _run_tile(
     #    binarised queries are built in place in the sign buffer — only
     #    after the similarities above are done reading it.
     if not plan.packed_dots and plan.predict_quant.query_is_binary:
-        query._binarized = np.multiply(
+        query.binarized = np.multiply(
             signs, q_scales[:, np.newaxis], out=signs
         )
     dots = backend.model_dots(query, plan.model_op)

@@ -5,9 +5,11 @@ intermediates into caller-provided scratch buffers, so a tile's peak
 memory is a fixed number of ``(tile_rows, D)`` arrays no matter how many
 rows the full batch has.
 
-This module owns only the *query-side preparation* — norms,
-binarisation scales, sign matrices and packed words derived into
-scratch; the encoding itself is
+This module owns only the *query-side preparation* — binarisation
+scales and packed words derived into scratch; the row norms and sign
+rows are the training path's own (:func:`repro.ops.normalize.row_norms`,
+:func:`repro.runtime.kernels.sign_rows` into ``scratch.aux``), and the
+encoding itself is
 :func:`repro.encoding.nonlinear.encode_into` writing into the same
 buffers.  The similarity / softmax / dot-product arithmetic itself lives
 in :mod:`repro.runtime` and is reached through the plan's
@@ -56,14 +58,6 @@ class TileScratch:
         return self.main.nbytes + self.aux.nbytes + self.bits.nbytes
 
 
-def row_norms(S: FloatArray, eps: float = 1e-12) -> FloatArray:
-    """Euclidean row norms, floored at ``eps`` (the same floor as
-    :func:`repro.ops.normalize.normalize_rows`)."""
-    norms = np.linalg.norm(S, axis=1)
-    np.maximum(norms, eps, out=norms)
-    return norms
-
-
 def query_scales(S: FloatArray, norms: FloatArray, scratch: TileScratch) -> FloatArray:
     """Per-row binarisation scale of the *normalised* queries.
 
@@ -77,15 +71,6 @@ def query_scales(S: FloatArray, norms: FloatArray, scratch: TileScratch) -> Floa
     scales = absS.mean(axis=1)
     scales /= norms
     return scales
-
-
-def sign_matrix(S: FloatArray, scratch: TileScratch) -> FloatArray:
-    """±1 sign pattern of a tile (ties → +1) built in ``scratch.aux``."""
-    t = S.shape[0]
-    bits = np.greater_equal(S, 0, out=scratch.bits[:t])
-    signs = np.multiply(bits, 2.0, out=scratch.aux[:t])
-    np.subtract(signs, 1.0, out=signs)
-    return signs
 
 
 def packed_query_words(S: FloatArray, scratch: TileScratch) -> np.ndarray:

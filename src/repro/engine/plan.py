@@ -166,13 +166,7 @@ class CompiledPlan:
     @property
     def needs_signs(self) -> bool:
         """Whether a float ±1 sign matrix of the queries is required."""
-        unpacked_sign_search = (
-            self.cluster_quant is not ClusterQuant.NONE and not self.packed_sims
-        )
-        unpacked_binary_query = (
-            self.predict_quant.query_is_binary and not self.packed_dots
-        )
-        return unpacked_sign_search or unpacked_binary_query
+        return self.backend.reads_signs(self.cluster_quant, self.predict_quant)
 
     @property
     def nbytes(self) -> int:

@@ -43,6 +43,24 @@ from repro.telemetry.spans import span
 from repro.types import ArrayLike, FloatArray
 
 
+def _checkpointed_guard(in_features: int, stream: dict) -> InputGuard | None:
+    """The guard a checkpointed stream ran with, its gate still fresh
+    (``_restore`` loads the gate's state), or None for an unguarded one.
+    """
+    spec = stream.get("guard")
+    if spec is None:
+        if "guard_gate" not in stream:
+            return None
+        spec = {"policy": GuardPolicy.MAHALANOBIS.value}
+    value_range = spec.get("value_range")
+    return InputGuard(
+        in_features,
+        policy=spec["policy"],
+        value_range=None if value_range is None else tuple(value_range),
+        fill_value=float(spec.get("fill_value", 0.0)),
+    )
+
+
 def _stream_snapshot(extra: dict) -> dict:
     """The checkpointed stream state in one shape, whatever wrote it.
 
@@ -305,8 +323,17 @@ class ResilientStreamingRegHD(StreamingRegHD):
                 conformal.pop("residuals"), dtype=np.float64
             )
             state["conformal"] = conformal
-        if self.guard is not None and self.guard.gate is not None:
-            state["guard_gate"] = self.guard.gate.get_state()
+        if self.guard is not None:
+            guard = self.guard
+            state["guard"] = {
+                "policy": guard.policy.value,
+                "value_range": (
+                    None if guard.value_range is None else list(guard.value_range)
+                ),
+                "fill_value": guard.fill_value,
+            }
+            if guard.gate is not None:
+                state["guard_gate"] = guard.gate.get_state()
         # The reports themselves go to the checkpoint journal.
         state["history"] = {"max_reports": self.history.max_reports}
         return state, arrays
@@ -439,7 +466,11 @@ class ResilientStreamingRegHD(StreamingRegHD):
         uninterrupted run bit-exactly.  A detector is rebuilt from the
         checkpointed hyper-parameters unless one is passed in; a watchdog
         is only restored when passed in (its envelope config is the
-        caller's choice).
+        caller's choice).  The input guard is rebuilt from its
+        checkpointed policy, ``value_range`` and ``fill_value`` around
+        the restored Mahalanobis gate unless ``guard=`` is passed (a
+        checkpoint that records only the gate gets a ``mahalanobis``
+        guard); ``guard=None`` resumes unguarded.
 
         Raises :class:`RecoveryError` when no valid checkpoint exists.
         """
@@ -454,6 +485,8 @@ class ResilientStreamingRegHD(StreamingRegHD):
             )
         if watchdog is not None and "watchdog" in stream:
             watchdog.set_state(stream["watchdog"])
+        if "guard" not in kwargs:
+            kwargs["guard"] = _checkpointed_guard(model.in_features, stream)
         if "conformal" not in kwargs and "conformal" in stream:
             # The calibrator's hyper-parameters live in its own snapshot,
             # so recovery rebuilds it wholesale unless the caller passed

@@ -13,8 +13,8 @@ package is that single routing point:
   dense float or packed XOR+popcount execution per kernel, resolved via
   :func:`resolve_backend` from an explicit name, ``RegHDConfig.backend``,
   or ``REPRO_BACKEND``;
-* :class:`Query` — query-side operands with lazy, reusable derived
-  representations (signs, packed words, scales);
+* :class:`Query` — one encoded float batch plus its lazily derived,
+  reusable packed words and scales (no other float matrix);
 * :mod:`repro.runtime.operands` — model-side operands: live training
   views over the dual copies, and the frozen copy-on-write snapshots
   compiled serving plans are built and refreshed from;

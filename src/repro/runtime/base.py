@@ -90,18 +90,39 @@ class KernelBackend:
         backends that also implement ``encode_pack`` return True."""
         return False
 
+    def reads_signs(
+        self, cluster_quant: ClusterQuant, predict_quant: PredictQuant
+    ) -> bool:
+        """Whether a kernel reads the queries' float ±1 sign rows for this
+        quant pair: a sign search or binarised-query dots that do not
+        run on packed words."""
+        return (
+            cluster_quant is not ClusterQuant.NONE
+            and not self.packs_similarities(cluster_quant)
+        ) or (
+            predict_quant.query_is_binary and not self.packs_dots(predict_quant)
+        )
+
     # -- forward kernels (Eqs. 5-6, Fig. 4) --------------------------------
 
     def cluster_similarities(
         self, query: Query, clusters: ClusterOperand | FrozenClusterOperand
     ) -> FloatArray:
-        """Similarity of each query to each cluster hypervector (Eq. 5)."""
+        """Similarity of each query to each cluster hypervector (Eq. 5).
+
+        A sign search reads the query's sign rows when the caller built
+        them, and otherwise derives them one row tile at a time.
+        """
         if clusters.quant is ClusterQuant.NONE:
             return kernels.cosine_similarities(
                 query.S, clusters.matT, clusters.norms
             )
-        return kernels.sign_similarities(
-            query.signs, clusters.signsT, clusters.dim
+        if query.signs is not None:
+            return kernels.sign_similarities(
+                query.signs, clusters.signsT, clusters.dim
+            )
+        return kernels.row_tiled_sign_similarities(
+            query.S, clusters.signsT, clusters.dim
         )
 
     def confidences(self, sims: FloatArray, softmax_temp: float) -> FloatArray:
@@ -109,9 +130,14 @@ class KernelBackend:
         return kernels.confidences(sims, softmax_temp)
 
     def model_dots(self, query, models) -> FloatArray:
-        """Per-model dot products with the Sec.-3.2 operand choice (Eq. 6)."""
+        """Per-model dot products with the Sec.-3.2 operand choice (Eq. 6).
+
+        Binarised queries are one whole-batch dot (a row-tiled float dot
+        would move bits): on the caller's binarised rows, or on transient
+        ones (see :meth:`~repro.runtime.Query.binarized_rows`).
+        """
         if models.quant.query_is_binary:
-            return kernels.dense_dots(query.binarized, models.matT)
+            return kernels.dense_dots(query.binarized_rows(), models.matT)
         return kernels.dense_dots(query.S, models.matT)
 
     def weighted_prediction(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.normalize import softmax
+from repro.ops.normalize import block_rows, softmax
 from repro.runtime.packing import packed_sign_products
 from repro.types import FloatArray
 
@@ -52,6 +52,26 @@ def sign_similarities(
     return (signs @ cluster_signsT) / float(dim)
 
 
+def row_tiled_sign_similarities(
+    S: FloatArray, cluster_signsT: FloatArray, dim: int
+) -> FloatArray:
+    """:func:`sign_similarities` of the sign pattern of the float rows
+    ``S``, derived one row block at a time into one block of scratch.
+
+    Each product is a sum of ±1 terms, exact in float64, so tiling the
+    matmul cannot move a bit; the query never holds an ``(n, D)`` sign
+    matrix.
+    """
+    n, width = S.shape
+    out = np.empty((n, cluster_signsT.shape[1]), dtype=np.float64)
+    step = block_rows(width)
+    scratch = np.empty((min(step, n), width), dtype=np.float64)
+    for lo in range(0, n, step):
+        signs = sign_rows(S[lo : lo + step], scratch)
+        np.matmul(signs, cluster_signsT, out=out[lo : lo + len(signs)])
+    return np.divide(out, float(dim), out=out)
+
+
 def hamming_similarities(
     query_words: np.ndarray, cluster_words: np.ndarray, dim: int
 ) -> FloatArray:
@@ -70,6 +90,48 @@ def hamming_similarities(
 def confidences(sims: FloatArray, softmax_temp: float) -> FloatArray:
     """Per-cluster confidence: temperature-scaled softmax of similarities."""
     return softmax(softmax_temp * sims)
+
+
+# -- query-side derivations ------------------------------------------------
+
+
+def sign_rows(S: FloatArray, out: FloatArray) -> FloatArray:
+    """The ±1 sign pattern of the rows ``S``, written into the first
+    ``len(S)`` rows of the float buffer ``out``; returns that view.
+
+    ``+1`` where ``S >= 0`` (exact zeros, ``-0.0`` included, map to +1
+    as in :func:`repro.ops.quantize.bipolarize`), ``-1`` elsewhere —
+    the bit convention of :func:`~repro.runtime.pack_sign_words`.
+    """
+    signs = out[: len(S)]
+    np.greater_equal(S, 0.0, out=signs)
+    np.multiply(signs, 2.0, out=signs)
+    return np.subtract(signs, 1.0, out=signs)
+
+
+def row_scales(S: FloatArray) -> FloatArray:
+    """Per-row binarisation scale ``mean(|S_i|)``, one row block at a
+    time: each row's mean is reduced alone, so the blocks give the same
+    bits as a whole-batch ``np.mean(np.abs(S), axis=1)`` without its
+    ``(n, D)`` temporary."""
+    n, width = S.shape
+    scales = np.empty(n, dtype=np.float64)
+    step = block_rows(width)
+    scratch = np.empty((min(step, n), width), dtype=np.float64)
+    for lo in range(0, n, step):
+        blk = S[lo : lo + step]
+        absolute = np.abs(blk, out=scratch[: len(blk)])
+        np.mean(absolute, axis=1, out=scales[lo : lo + len(blk)])
+    return scales
+
+
+def scale_signs(signs: FloatArray, scales: FloatArray) -> FloatArray:
+    """Binarised rows ``sign * scale`` built in the sign buffer itself;
+    rows whose scale is zero binarise to zero, bit-equal to
+    :func:`~repro.runtime.binarize_preserving_scale`."""
+    np.multiply(signs, scales[:, np.newaxis], out=signs)
+    signs[scales == 0.0] = 0.0
+    return signs
 
 
 # -- model dot products (Eq. 6 / Sec. 3.2) ---------------------------------
@@ -123,9 +185,14 @@ def segment_sum(indices: np.ndarray, rows: FloatArray, k: int) -> FloatArray:
     if rows.shape[1] < 2:
         np.add.at(out, indices, rows)
         return out
-    order = np.argsort(indices, kind="stable")
-    sorted_rows = np.ascontiguousarray(rows[order])
-    sorted_idx = indices[order]
+    if np.all(indices[1:] >= indices[:-1]):
+        # Already grouped (the cluster update sorts its rows as it
+        # weights them): no second permuted copy.
+        sorted_rows, sorted_idx = np.ascontiguousarray(rows), indices
+    else:
+        order = np.argsort(indices, kind="stable")
+        sorted_rows = np.ascontiguousarray(rows[order])
+        sorted_idx = indices[order]
     buckets, starts = np.unique(sorted_idx, return_index=True)
     ends = np.append(starts[1:], len(sorted_idx))
     for bucket, lo, hi in zip(buckets, starts, ends):

@@ -1,31 +1,36 @@
 """Query-side operand bundle handed to kernel backends.
 
 A :class:`Query` wraps one batch of encoded hypervectors ``S`` together
-with the derived representations the kernels may need — the ±1 sign
-pattern, the bit-packed uint64 words, the per-row binarisation scales and
-the scale-preserving binarised matrix.  Derivations are lazy and cached,
-so a dense backend that only reads ``S`` never pays for packing, while
-the packed backend computes words exactly once per batch.
+with what the kernels read besides it: the bit-packed uint64 sign words
+(one bit per component) and the per-row binarisation scales (one float
+per row), derived lazily and cached, so a dense backend that only reads
+``S`` never pays for packing while the packed backend packs each batch
+once.
+
+A query caches no other float matrix beside ``S``.  The ±1 sign rows
+and the scale-preserving binarised rows exist only where a caller built
+them into its own buffer — the serving tile's scratch, a training
+mini-batch's sign buffer (:meth:`Query.slice` with ``signs=``) — and a
+dense kernel that finds none derives them per row tile, or into
+transient rows the query does not keep (:meth:`Query.binarized_rows`).
 
 The same reuse spans a whole training run: ``fit`` and ``partial_fit``
 encode each set of rows into one query, every mini-batch of every epoch
-is a :meth:`Query.slice` of it, and the per-epoch evaluation reads the
-derivations the whole query caches.  An estimator whose backend runs
-packed kernels derives the words and scales up front, so a fit packs its
-rows once.
+is a :meth:`Query.slice` of it, and an estimator derives the words and
+scales its kernels read up front, so a fit derives them once per row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.quantize import bipolarize
+from repro.runtime import kernels
 from repro.runtime.packing import pack_sign_words
 from repro.types import FloatArray
 
 
 class Query:
-    """One batch of encoded queries plus lazily derived representations.
+    """One batch of encoded queries plus the derivations kernels read.
 
     Parameters
     ----------
@@ -34,13 +39,15 @@ class Query:
         May be ``None`` for fully-packed serving queries built by the
         fused encode→pack pipeline — those carry ``words``/``scales``
         directly and no kernel on that path reads the float batch.
-    signs, words, scales, binarized:
-        Optional precomputed derivations.  The serving executor passes
-        these in (it derives them into scratch buffers with its own
-        normalisation pipeline); training queries derive them on demand.
+    signs, binarized:
+        Optional ±1 sign rows and binarised rows the caller built into
+        its own buffer.  A query never derives them itself.
+    words, scales:
+        Optional precomputed packed words and per-row scales; otherwise
+        derived on first read and cached.
     """
 
-    __slots__ = ("S", "_signs", "_words", "_scales", "_binarized")
+    __slots__ = ("S", "signs", "binarized", "scratch", "_words", "_scales")
 
     def __init__(
         self,
@@ -52,10 +59,13 @@ class Query:
         binarized: FloatArray | None = None,
     ):
         self.S = S
-        self._signs = signs
+        self.signs = signs
+        self.binarized = binarized
+        #: optional :class:`ScratchRows` that :meth:`binarized_rows`
+        #: builds its transient in instead of allocating one per call
+        self.scratch: ScratchRows | None = None
         self._words = words
         self._scales = scales
-        self._binarized = binarized
 
     def _require_S(self, derived: str) -> FloatArray:
         if self.S is None:
@@ -63,15 +73,6 @@ class Query:
                 f"Query built without a float batch cannot derive {derived}"
             )
         return self.S
-
-    @property
-    def signs(self) -> FloatArray:
-        """±1 sign pattern of ``S`` (zeros map to +1)."""
-        if self._signs is None:
-            self._signs = bipolarize(self._require_S("signs")).astype(
-                np.float64
-            )
-        return self._signs
 
     @property
     def words(self) -> np.ndarray:
@@ -84,49 +85,91 @@ class Query:
     def scales(self) -> FloatArray:
         """Per-row binarisation scale ``mean(|S_i|)``."""
         if self._scales is None:
-            self._scales = np.mean(np.abs(self._require_S("scales")), axis=1)
+            self._scales = kernels.row_scales(self._require_S("scales"))
         return self._scales
 
-    @property
-    def binarized(self) -> FloatArray:
+    def binarized_rows(self) -> FloatArray:
         """Scale-preserving binarised queries, ``sign(S) * mean(|S|)``.
 
-        Built from this query's own cached :attr:`signs` and
-        :attr:`scales`, so the sign pattern is derived once for both;
-        bit-equal to :func:`~repro.runtime.binarize_preserving_scale`
-        (zero-scale rows binarise to zero).
+        The caller's :attr:`binarized` rows when it built them, else a
+        transient ``(n, D)`` matrix that this query does not keep — in
+        its :attr:`scratch` rows when it has some; bit-equal to
+        :func:`~repro.runtime.binarize_preserving_scale` (zero-scale
+        rows binarise to zero).
         """
-        if self._binarized is None:
-            scales = self.scales
-            binarized = self.signs * scales[:, np.newaxis]
-            binarized[scales == 0.0] = 0.0
-            self._binarized = binarized
-        return self._binarized
+        if self.binarized is not None:
+            return self.binarized
+        S = self._require_S("binarized rows")
+        if self.scratch is not None:
+            out = self.scratch.take(*S.shape)
+        else:
+            out = np.empty_like(S)
+        return kernels.scale_signs(kernels.sign_rows(S, out), self.scales)
 
-    def slice(self, idx: np.ndarray) -> "Query":
+    def binarize_signs(self) -> FloatArray:
+        """Turn the caller-built :attr:`signs` into :attr:`binarized`,
+        in the same buffer; call it once every reader of the signs is
+        done, as a mini-batch does between its similarities and its dots.
+        """
+        self.binarized = kernels.scale_signs(self.signs, self.scales)
+        self.signs = None
+        return self.binarized
+
+    def slice(
+        self, idx: np.ndarray, *, signs: FloatArray | None = None
+    ) -> "Query":
         """A :class:`Query` for the rows ``idx`` of this batch.
 
         Every array this query already holds is carried over as the same
         rows (each derivation depends on its row alone), so the batch
         never re-derives what the whole query has computed; what the
-        slice derives later stays on the slice.  The whole batch in
-        order, such as a stream update's single mini-batch, is taken as
-        views; any other rows are copies, which train faster than views
-        into a large batch.
+        slice derives later stays on the slice.  A contiguous ascending
+        run of rows — every ``partial_fit`` and stream-update mini-batch
+        — is taken as views; any other rows are copies.  ``signs`` is a
+        float buffer of at least ``len(idx)`` rows that the slice builds
+        its ±1 sign rows into.
         """
-        n = len(self.S if self.S is not None else self._words)
+        n = len(idx)
+        lo = int(idx[0]) if n else 0
         rows = idx
-        if len(idx) == n and np.array_equal(idx, np.arange(n)):
-            rows = slice(None)
+        if np.array_equal(idx, np.arange(lo, lo + n)):
+            rows = slice(lo, lo + n)
 
         def pick(array: np.ndarray | None) -> np.ndarray | None:
             return None if array is None else array[rows]
 
-        return Query(
+        query = Query(
             pick(self.S),
-            signs=pick(self._signs),
+            signs=pick(self.signs),
             words=pick(self._words),
             scales=pick(self._scales),
-            binarized=pick(self._binarized),
+            binarized=pick(self.binarized),
         )
+        if signs is not None:
+            query.signs = kernels.sign_rows(query._require_S("signs"), signs)
+        return query
 
+
+class ScratchRows:
+    """One float buffer that queries build their transient binarised
+    rows in, in turn (see :attr:`Query.scratch`).
+
+    Allocated on first use, ``rows`` high, and released with the object:
+    a fit hands one to its training and validation queries, so their
+    per-epoch evaluations reuse one buffer instead of allocating a new
+    ``(n, D)`` matrix per call, which the C allocator may keep resident
+    once freed.  A model that reads no binarised rows never allocates it.
+    """
+
+    __slots__ = ("rows", "_array")
+
+    def __init__(self, rows: int):
+        self.rows = int(rows)
+        self._array: FloatArray | None = None
+
+    def take(self, n: int, width: int) -> FloatArray:
+        """The first ``n`` rows of the buffer, ``width`` wide."""
+        array = self._array
+        if array is None or array.shape[1] != width or len(array) < n:
+            array = self._array = np.empty((max(self.rows, n), width))
+        return array[:n]

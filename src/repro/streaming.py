@@ -385,9 +385,9 @@ class StreamingRegHD:
 
         The batch is encoded once: the one :class:`~repro.runtime.Query`
         gives the prequential prediction and is then handed to
-        ``partial_fit``, so training reuses its encoding, signs, scales
-        and binarised rows.  Returns the prequential report for this
-        batch; the full history accumulates on :attr:`history`.
+        ``partial_fit``, so training reuses its encoding and scales.
+        Returns the prequential report for this batch; the full history
+        accumulates on :attr:`history`.
         """
         X_arr = check_2d("X", X)
         y_arr = check_1d("y", y)

@@ -5,6 +5,7 @@ from repro.utils.validation import (
     check_1d,
     check_2d,
     check_matching_lengths,
+    check_optional_pair,
     check_positive,
     check_probability,
     check_unit_interval,
@@ -17,6 +18,7 @@ __all__ = [
     "check_1d",
     "check_2d",
     "check_matching_lengths",
+    "check_optional_pair",
     "check_positive",
     "check_probability",
     "check_unit_interval",

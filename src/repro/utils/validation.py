@@ -73,3 +73,19 @@ def check_matching_lengths(
             f"{name_a} and {name_b} must have matching lengths, "
             f"got {len_a} and {len_b}"
         )
+
+
+def check_optional_pair(
+    name_a: str, a: object, name_b: str, b: object
+) -> bool:
+    """Whether both halves of an optional pair were given.
+
+    Raises :class:`ConfigurationError` naming the missing half when only
+    one was, so a validation set is never dropped silently.
+    """
+    if (a is None) != (b is None):
+        given, missing = (name_b, name_a) if a is None else (name_a, name_b)
+        raise ConfigurationError(
+            f"{given} was given without {missing}: pass both, or neither"
+        )
+    return a is not None

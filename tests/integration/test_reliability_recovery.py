@@ -14,7 +14,9 @@ from repro import RegHDConfig
 from repro.exceptions import RecoveryError
 from repro.reliability import (
     CheckpointManager,
+    GuardPolicy,
     HealthState,
+    InputGuard,
     ResilientStreamingRegHD,
     Watchdog,
 )
@@ -103,6 +105,72 @@ class TestKillAndRecover:
     def test_recover_empty_dir_raises(self, tmp_path):
         with pytest.raises(RecoveryError):
             ResilientStreamingRegHD.recover(tmp_path / "nothing_here")
+
+
+class TestRecoveredGuard:
+    """``recover`` rebuilds the checkpointed guard unless ``guard=`` is
+    passed, its Mahalanobis gate restored."""
+
+    def _stream(self, tmp_path, guard, batches=8):
+        stream = ResilientStreamingRegHD(
+            4, CONFIG, guard=guard,
+            checkpoint_dir=tmp_path, checkpoint_every=batches,
+        )
+        for X, y in make_batches(batches):
+            stream.update(X, y)
+        return stream
+
+    def test_recovery_without_guard_scores_like_the_live_gate(self, tmp_path):
+        stream = self._stream(tmp_path, "mahalanobis")
+        recovered = ResilientStreamingRegHD.recover(tmp_path)
+        assert recovered.guard is not None
+        assert recovered.guard.policy is GuardPolicy.MAHALANOBIS
+        assert recovered.guard.gate is not None
+        X_probe = np.random.default_rng(5).normal(size=(32, 4)) * 2.0
+        np.testing.assert_array_equal(
+            recovered.guard.gate.leverage2(X_probe),
+            stream.guard.gate.leverage2(X_probe),
+        )
+        assert recovered.guard.gate.get_state() == stream.guard.gate.get_state()
+
+    def test_guard_settings_survive_recovery(self, tmp_path):
+        guard = InputGuard(
+            4, policy="repair", value_range=(-2.5, 2.5), fill_value=0.25
+        )
+        self._stream(tmp_path, guard)
+        recovered = ResilientStreamingRegHD.recover(tmp_path)
+        assert recovered.guard.policy is GuardPolicy.REPAIR
+        assert recovered.guard.value_range == (-2.5, 2.5)
+        assert recovered.guard.fill_value == 0.25
+        assert recovered.guard.gate is None
+
+    def test_explicit_guard_wins(self, tmp_path):
+        self._stream(tmp_path, "mahalanobis")
+        assert ResilientStreamingRegHD.recover(tmp_path, guard=None).guard is None
+        drop = ResilientStreamingRegHD.recover(tmp_path, guard="drop").guard
+        assert drop.policy is GuardPolicy.DROP
+
+    def test_unguarded_stream_recovers_unguarded(self, tmp_path):
+        self._stream(tmp_path, None)
+        assert ResilientStreamingRegHD.recover(tmp_path).guard is None
+
+    def test_checkpoint_with_only_a_gate_rebuilds_a_mahalanobis_guard(
+        self, tmp_path
+    ):
+        """Checkpoints written before the guard's settings were recorded
+        carry only ``guard_gate``."""
+        stream = self._stream(tmp_path, "mahalanobis")
+        state, arrays = stream._stream_state()
+        del state["guard"]
+        stream.checkpoints.save(
+            stream.model,
+            batch=stream._batch_counter + 1,
+            extra={"stream": state},
+            arrays=arrays,
+        )
+        recovered = ResilientStreamingRegHD.recover(tmp_path)
+        assert recovered.guard.policy is GuardPolicy.MAHALANOBIS
+        assert recovered.guard.gate.get_state() == stream.guard.gate.get_state()
 
 
 class TestWatchdogRollback:

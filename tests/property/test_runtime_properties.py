@@ -12,11 +12,10 @@ The backend-dispatch contract of the ISSUE-4 refactor:
   indistinguishable from packing from scratch;
 * :class:`Query` yields identical derivations whether operands are
   precomputed (serving), derived lazily (training) or sliced from a
-  larger query, and derives its sign pattern once for ``signs`` and
-  ``binarized`` together.
+  larger query; it caches no float matrix beside ``S``, and a slice
+  over a contiguous run of rows is a view.
 """
 
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from repro.runtime.kernels import (
     hamming_similarities,
     packed_scaled_dots,
     segment_sum,
+    sign_rows,
     sign_similarities,
 )
 from repro.runtime.quantization import (
@@ -180,21 +180,26 @@ class TestQueryConsistency:
         rng = np.random.default_rng(seed)
         S = rng.normal(size=(n, dim))
         lazy = Query(S)
+        signs = sign_rows(S, np.empty_like(S))
         served = Query(
             S,
-            signs=lazy.signs.copy(),
+            signs=signs.copy(),
             words=lazy.words.copy(),
             scales=lazy.scales.copy(),
-            binarized=lazy.binarized.copy(),
+            binarized=lazy.binarized_rows().copy(),
         )
-        np.testing.assert_array_equal(served.signs, lazy.signs)
+        np.testing.assert_array_equal(served.signs, bipolarize(S))
         np.testing.assert_array_equal(served.words, lazy.words)
         np.testing.assert_array_equal(served.scales, lazy.scales)
-        np.testing.assert_array_equal(served.binarized, lazy.binarized)
-        # lazy derivations are self-consistent with each other
         np.testing.assert_array_equal(
-            lazy.binarized, lazy.signs * lazy.scales[:, np.newaxis]
+            served.binarized_rows(), lazy.binarized_rows()
         )
+        # lazy derivations are self-consistent with each other, and the
+        # lazy query keeps no float matrix beside S
+        np.testing.assert_array_equal(
+            lazy.binarized_rows(), signs * lazy.scales[:, np.newaxis]
+        )
+        assert lazy.signs is None and lazy.binarized is None
 
     @given(
         seed=st.integers(min_value=0, max_value=50),
@@ -202,33 +207,33 @@ class TestQueryConsistency:
         dim=st.integers(min_value=1, max_value=100),
         zero_frac=st.sampled_from([0.0, 0.2, 1.0]),
         zero_rows=st.integers(min_value=0, max_value=3),
-        binarized_first=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_binarized_derives_from_cached_signs_and_scales(
-        self, seed, n, dim, zero_frac, zero_rows, binarized_first
+    def test_binarized_rows_match_reference(
+        self, seed, n, dim, zero_frac, zero_rows
     ):
-        """``binarized`` is bit-equal to ``binarize_preserving_scale(S)``
-        (exact-zero entries and all-zero rows included) and shares the
-        query's one sign derivation."""
+        """The transient binarised rows, and the ones a mini-batch
+        builds in its sign buffer, are bit-equal to
+        ``binarize_preserving_scale(S)`` (exact-zero entries, ``-0.0``
+        and all-zero rows included)."""
         rng = np.random.default_rng(seed)
         S = rng.normal(size=(n, dim))
         S[rng.random(size=S.shape) < zero_frac] = 0.0
+        S[rng.random(size=S.shape) < zero_frac / 2] = -0.0
         S[rng.permutation(n)[:zero_rows]] = 0.0
+        expected = binarize_preserving_scale(S).view(np.uint64)
         query = Query(S)
-        with mock.patch(
-            "repro.runtime.query.bipolarize", wraps=bipolarize
-        ) as spy:
-            if binarized_first:
-                binarized, signs = query.binarized, query.signs
-            else:
-                signs, binarized = query.signs, query.binarized
-        assert spy.call_count == 1
-        expected = binarize_preserving_scale(S)
         np.testing.assert_array_equal(
-            binarized.view(np.uint64), expected.view(np.uint64)
+            query.binarized_rows().view(np.uint64), expected
         )
-        np.testing.assert_array_equal(signs, bipolarize(S))
+        assert query.binarized is None
+        batch = query.slice(np.arange(n), signs=np.empty((n + 1, dim)))
+        np.testing.assert_array_equal(batch.signs, bipolarize(S))
+        batch.binarize_signs()
+        assert batch.signs is None
+        np.testing.assert_array_equal(
+            batch.binarized.view(np.uint64), expected
+        )
 
     @given(
         seed=st.integers(min_value=0, max_value=50),
@@ -239,33 +244,33 @@ class TestQueryConsistency:
     def test_slice_carries_row_slices_of_derivations(self, seed, n, dim):
         rng = np.random.default_rng(seed)
         S = rng.normal(size=(n, dim))
-        whole = Query(S)
-        _ = whole.binarized, whole.words  # derive every array before slicing
+        whole = Query(S, signs=sign_rows(S, np.empty_like(S)))
+        _ = whole.words, whole.scales  # derive every array before slicing
         start = int(rng.integers(0, n))
         run = np.arange(start, n)
+        lo, hi = np.sort(rng.choice(n + 1, size=2, replace=False))
+        middle = np.arange(lo, hi)  # any contiguous range, a mini-batch
         everything = np.arange(n)
-        for idx in (rng.permutation(n)[: max(1, n // 2)], run, everything):
+        picked = rng.permutation(n)[: max(1, n // 2)]
+        names = ("S", "signs", "words", "scales")
+        for idx in (picked, run, middle, everything):
             sliced = whole.slice(idx)
             fresh = Query(S[idx])
             np.testing.assert_array_equal(sliced.S, S[idx])
-            np.testing.assert_array_equal(sliced.signs, fresh.signs)
+            np.testing.assert_array_equal(sliced.signs, bipolarize(S[idx]))
             np.testing.assert_array_equal(sliced.words, fresh.words)
             np.testing.assert_array_equal(sliced.scales, fresh.scales)
-            np.testing.assert_array_equal(sliced.binarized, fresh.binarized)
-        names = ("S", "signs", "words", "scales", "binarized")
-        # the whole batch in order is taken as views ...
-        sliced = whole.slice(everything)
-        for name in names:
-            assert np.shares_memory(
-                getattr(sliced, name), getattr(whole, name)
-            ), name
-        # ... and a partial run as copies
-        if n > 1:
-            sliced = whole.slice(np.arange(1, n))
+            np.testing.assert_array_equal(
+                sliced.binarized_rows(), fresh.binarized_rows()
+            )
+            # a contiguous ascending run is taken as views, other rows
+            # as copies
+            first = idx[0]
+            contiguous = np.array_equal(idx, np.arange(first, first + len(idx)))
             for name in names:
-                assert not np.shares_memory(
+                assert np.shares_memory(
                     getattr(sliced, name), getattr(whole, name)
-                ), name
+                ) == contiguous, name
 
 
 class TestCacheBlockedPopcount:

@@ -313,6 +313,29 @@ class TestStream:
         out = capsys.readouterr().out
         assert "recovered from checkpoint at batch 6" in out
 
+    def test_stream_resume_keeps_the_checkpointed_guard(
+        self, tmp_path, capsys
+    ):
+        """``--resume`` without ``--guard-policy`` resumes guarded: the
+        checkpoint records the guard and recovery rebuilds it."""
+        ckpt_dir = tmp_path / "ckpts"
+        args = [
+            "stream",
+            "--dataset", "boston",
+            "--k", "2",
+            "--dim", "256",
+            "--batch-size", "32",
+            "--checkpoint-dir", str(ckpt_dir),
+            "--checkpoint-every", "3",
+        ]
+        guarded = args + ["--guard-policy", "mahalanobis", "--max-batches", "6"]
+        assert main(guarded) == 0
+        assert "rows gated" in capsys.readouterr().out
+        assert main(args + ["--resume", "--max-batches", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "recovered from checkpoint at batch 6" in out
+        assert "rows gated" in out
+
     def test_stream_resume_requires_checkpoint_dir(self, capsys):
         code = main(
             ["stream", "--dataset", "boston", "--resume"]

@@ -21,6 +21,17 @@ class TestEnsemble:
         seeds = {m.config.seed for m in ensemble.members}
         assert seeds == {0, 1, 2}
 
+    @pytest.mark.parametrize("given", ["X_val", "y_val"])
+    def test_fit_rejects_half_a_validation_pair(self, tiny_regression, given):
+        X, y, Xte, yte = tiny_regression
+        ensemble = RegHDEnsemble(5, CONFIG, n_members=2)
+        missing = "y_val" if given == "X_val" else "X_val"
+        half = {given: Xte if given == "X_val" else yte}
+        with pytest.raises(ConfigurationError, match=f"without {missing}"):
+            ensemble.fit(X, y, **half)
+        assert not ensemble.fitted
+        assert not any(member.fitted for member in ensemble.members)
+
     def test_predict_is_member_mean(self, tiny_regression):
         X, y, Xte, _ = tiny_regression
         ensemble = RegHDEnsemble(5, CONFIG, n_members=3).fit(X, y)

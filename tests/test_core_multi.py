@@ -11,7 +11,7 @@ from repro.core.quantization import ClusterQuant, PredictQuant
 from repro.encoding.nonlinear import NonlinearEncoder
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.metrics import mean_squared_error, r2_score
-from repro.ops.quantize import bipolarize
+from repro.runtime.kernels import row_scales
 from repro.runtime.packing import pack_sign_words
 
 
@@ -249,7 +249,7 @@ class TestQuantizedConfigs:
 
 class TestOneTrainingQuery:
     """``fit`` trains on one query per set of rows: mini-batches slice it
-    and the per-epoch evaluation reuses what it derives."""
+    and every step reads the words and scales it derives up front."""
 
     @pytest.mark.parametrize("backend", ["dense", "packed_v2"])
     def test_fit_derives_each_row_once_per_query(
@@ -257,7 +257,7 @@ class TestOneTrainingQuery:
     ):
         X, y, _, _ = tiny_regression
         n = len(y)  # 200 rows
-        rows = {"bipolarize": 0, "pack_sign_words": 0}
+        rows = {"row_scales": 0, "pack_sign_words": 0}
 
         def counted(fn):
             def wrapper(S):
@@ -279,16 +279,16 @@ class TestOneTrainingQuery:
             ),
         )
         with mock.patch(
-            "repro.runtime.query.bipolarize", counted(bipolarize)
+            "repro.runtime.kernels.row_scales", counted(row_scales)
         ), mock.patch(
             "repro.runtime.query.pack_sign_words", counted(pack_sign_words)
         ):
             model.fit(X, y)
         assert model.history_.n_epochs == 4
-        # The first epoch's mini-batches derive their own signs, the
-        # first evaluation derives the whole query's, and every later
-        # mini-batch slices them; the packed backend packs the rows once.
-        assert rows["bipolarize"] == 2 * n
+        # The query derives its rows' binarisation scales before the
+        # first epoch, and every mini-batch and evaluation reads them;
+        # the packed backend packs the rows once.
+        assert rows["row_scales"] == n
         assert rows["pack_sign_words"] == (n if backend == "packed_v2" else 0)
 
 

@@ -95,6 +95,17 @@ class TestMultiOutput:
             assert head.history_ is not None
             assert head.history_.records[0].val_mse is not None
 
+    @pytest.mark.parametrize("given", ["X_val", "Y_val"])
+    def test_fit_rejects_half_a_validation_pair(self, task, given):
+        X, Y, Xte, Yte = task
+        model = MultiOutputRegHD(5, 3, CONFIG)
+        missing = "Y_val" if given == "X_val" else "X_val"
+        half = {given: Xte if given == "X_val" else Yte}
+        with pytest.raises(ConfigurationError, match=f"without {missing}"):
+            model.fit(X, Y, **half)
+        assert not model.fitted
+        assert not any(head.fitted for head in model.heads)
+
     @pytest.mark.parametrize("n_outputs", [0, -1])
     def test_invalid_outputs(self, n_outputs):
         with pytest.raises(ConfigurationError):

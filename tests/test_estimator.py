@@ -142,6 +142,20 @@ class TestBaseEstimatorProtocol:
             model.partial_fit(np.zeros((16, 4)), np.zeros(16), encoded=encoded)
         assert not model.fitted
 
+    @pytest.mark.parametrize("estimator", ["single", "multi", "baseline_hd"])
+    @pytest.mark.parametrize("given", ["X_val", "y_val"])
+    def test_fit_rejects_half_a_validation_pair(self, estimator, given):
+        from repro.registry import MODEL_REGISTRY
+
+        rng = np.random.default_rng(7)
+        X, y = rng.normal(size=(24, 4)), rng.normal(size=24)
+        model = MODEL_REGISTRY[estimator](4, dim=64, seed=0)
+        missing = "y_val" if given == "X_val" else "X_val"
+        half = {given: X[:8] if given == "X_val" else y[:8]}
+        with pytest.raises(ConfigurationError, match=f"without {missing}"):
+            model.fit(X, y, **half)
+        assert not model.fitted
+
     def test_unsupported_partial_fit_raises(self):
         from repro.core import BaselineHD
 
