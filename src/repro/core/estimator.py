@@ -46,7 +46,7 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.ops.normalize import normalize_rows
 from repro.registry import encoder_class, encoder_type_of
 from repro.runtime.query import Query
-from repro.telemetry.spans import span
+from repro.telemetry.tracing import span
 from repro.types import ArrayLike, FloatArray
 from repro.utils.validation import (
     check_1d,

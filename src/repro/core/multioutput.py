@@ -30,7 +30,7 @@ from repro.encoding.base import Encoder
 from repro.encoding.nonlinear import NonlinearEncoder
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.registry import register_model
-from repro.telemetry.spans import span
+from repro.telemetry.tracing import span
 from repro.types import ArrayLike, FloatArray
 from repro.utils.rng import derive_generator
 from repro.utils.validation import (

@@ -29,7 +29,7 @@ from repro.distributed.shard import ShardTrainer
 from repro.exceptions import ConfigurationError
 from repro.metrics import mean_squared_error
 from repro.telemetry import tracing as _tracing
-from repro.telemetry.spans import span
+from repro.telemetry.tracing import span
 from repro.types import ArrayLike
 from repro.utils.validation import check_1d, check_2d, check_matching_lengths
 

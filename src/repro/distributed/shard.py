@@ -50,7 +50,7 @@ from repro.core.delta import ModelDelta, merge_deltas
 from repro.exceptions import ConfigurationError
 from repro.registry import model_class, model_type_of
 from repro.telemetry import metrics as _metrics
-from repro.telemetry.spans import span
+from repro.telemetry.tracing import span
 from repro.types import ArrayLike
 from repro.utils.validation import check_1d, check_2d, check_matching_lengths
 

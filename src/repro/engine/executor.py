@@ -41,12 +41,12 @@ def _run_tile(
     out: FloatArray,
     scratch: TileScratch,
     enc: EncoderOperands | None,
-    trace: "tuple | None" = None,
 ) -> None:
     """Run one row tile through the fused pipeline into ``out[lo:hi]``.
 
-    ``trace`` is the ``(tracer, ctx)`` pair :func:`execute_plan` captured
-    once per call; each tile attaches its stage records to it.  The clock
+    With telemetry on, each stage boundary reads the clock once; the
+    stage's duration goes to the serving latency histogram and, inside
+    an open trace, to :func:`repro.telemetry.tracing.stage`.  The clock
     is read through the timing module so a single monkeypatch pins every
     span timestamp.
     """
@@ -98,8 +98,7 @@ def _run_tile(
         registry.histogram(
             "reghd_serving_latency_seconds", stage="encode"
         ).observe(t1 - t0)
-        if trace is not None:
-            trace[0].record_stage(trace[1], "tile/encode", t0, t1, rows=hi - lo)
+        _tracing.stage("tile/encode", t0, t1, rows=hi - lo)
         t0 = t1
 
     # 3. Cluster similarities (Eq. 5) and softmax confidences, dispatched
@@ -112,8 +111,7 @@ def _run_tile(
         registry.histogram(
             "reghd_serving_latency_seconds", stage="search"
         ).observe(t1 - t0)
-        if trace is not None:
-            trace[0].record_stage(trace[1], "tile/search", t0, t1, rows=hi - lo)
+        _tracing.stage("tile/search", t0, t1, rows=hi - lo)
         t0 = t1
 
     # 4. Model dot products (Eq. 6 under the Sec.-3.2 scheme).  The
@@ -135,10 +133,7 @@ def _run_tile(
         registry.histogram(
             "reghd_serving_latency_seconds", stage="accumulate"
         ).observe(t1 - t0)
-        if trace is not None:
-            trace[0].record_stage(
-                trace[1], "tile/accumulate", t0, t1, rows=hi - lo
-            )
+        _tracing.stage("tile/accumulate", t0, t1, rows=hi - lo)
 
 
 def execute_plan(plan: "CompiledPlan", X: FloatArray) -> FloatArray:
@@ -153,10 +148,7 @@ def execute_plan(plan: "CompiledPlan", X: FloatArray) -> FloatArray:
         registry.counter("reghd_serving_rows_total").inc(n)
     tile_rows = plan.tile_rows
     enc = plan.encoder_operands()
-    tracer = _tracing.active_tracer()
-    ctx = _tracing.current() if tracer is not None else None
-    trace = (tracer, ctx) if ctx is not None else None
     scratch = TileScratch(min(tile_rows, n), plan.dim, fused=plan.fused_encode)
     for lo in range(0, n, tile_rows):
-        _run_tile(plan, X, lo, min(lo + tile_rows, n), out, scratch, enc, trace)
+        _run_tile(plan, X, lo, min(lo + tile_rows, n), out, scratch, enc)
     return out

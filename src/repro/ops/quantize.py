@@ -30,15 +30,19 @@ def binarize(vector: ArrayLike, *, threshold: float = 0.0) -> BinaryArray:
 def bipolarize(vector: ArrayLike, *, tie_value: int = 1) -> BipolarArray:
     """Quantise to bipolar {-1, +1} via the sign function.
 
-    Zeros (exact ties) map to ``tie_value`` so the output never contains 0,
-    keeping Hamming/cosine equivalence exact.
+    Zeros (exact ties, ``-0.0`` included) map to ``tie_value`` so the
+    output never contains 0, keeping Hamming/cosine equivalence exact.
+    One comparison decides each sign — ``>= 0`` for ``tie_value=1``, the
+    bit convention of :func:`~repro.runtime.pack_sign_words`, and
+    ``> 0`` for ``tie_value=-1`` — so NaN maps to -1.
     """
     if tie_value not in (-1, 1):
         raise ValueError(f"tie_value must be -1 or +1, got {tie_value}")
     arr = np.asarray(vector, dtype=np.float64)
-    out = np.sign(arr)
-    out[out == 0] = tie_value
-    return out.astype(np.int8)
+    out = (arr >= 0 if tie_value == 1 else arr > 0).astype(np.int8)
+    out *= 2
+    out -= 1
+    return out
 
 
 def binary_to_bipolar(vector: ArrayLike) -> BipolarArray:

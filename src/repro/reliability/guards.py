@@ -284,7 +284,7 @@ class InputGuard:
                 )
 
         report.n_rows_out = len(X_arr)
-        self._accumulate(report)
+        self.accumulate(report)
         if repaired:
             outcome = "repaired"
         elif report.n_gated_rows:
@@ -296,7 +296,8 @@ class InputGuard:
         self._emit(report, outcome, scores=scores)
         return X_arr, y_arr, report
 
-    def _accumulate(self, report: GuardReport) -> None:
+    def accumulate(self, report: GuardReport) -> None:
+        """Add one batch's counts to :attr:`total`."""
         self.total.n_rows_in += report.n_rows_in
         self.total.n_rows_out += report.n_rows_out
         self.total.n_repaired_values += report.n_repaired_values

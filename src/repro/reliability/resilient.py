@@ -24,7 +24,7 @@ exactly.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.streaming import PageHinkley, StreamBatchReport, StreamingRegHD
 from repro.telemetry import flight as _flight
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
-from repro.telemetry.spans import span
+from repro.telemetry.tracing import span
 from repro.types import ArrayLike, FloatArray
 
 
@@ -261,9 +261,12 @@ class ResilientStreamingRegHD(StreamingRegHD):
                     event = self.rollbacks[-1]
                     report.restored_checkpoint = event.checkpoint_id
                     report.trigger_error = trigger
-                    # _restore rewound history to the checkpointed reports;
-                    # re-append this one so the rollback stays on record.
+                    # _restore rewound history and the guard's counts to
+                    # the checkpoint; re-add this batch to both so the
+                    # rollback stays on record.
                     self.history.reports.append(report)
+                    if guard_report is not None:
+                        self.guard.accumulate(guard_report)
                     # The rollback span has landed in the tracer ring and
                     # the batch trace is still open, so the post-mortem
                     # bundle carries both the guard→…→rollback spans and
@@ -331,6 +334,7 @@ class ResilientStreamingRegHD(StreamingRegHD):
                     None if guard.value_range is None else list(guard.value_range)
                 ),
                 "fill_value": guard.fill_value,
+                "total": asdict(guard.total),
             }
             if guard.gate is not None:
                 state["guard_gate"] = guard.gate.get_state()
@@ -382,6 +386,15 @@ class ResilientStreamingRegHD(StreamingRegHD):
         history_state = stream.get("history")
         if history_state is not None:
             self.history.set_state(history_state)
+        if self.guard is not None:
+            # The guard's running counts cover the same batches as the
+            # history; a checkpoint without them counts from zero.
+            counts = (stream.get("guard") or {}).get("total")
+            self.guard.total = (
+                GuardReport(n_rows_in=0, n_rows_out=0)
+                if counts is None
+                else GuardReport(**counts)
+            )
         # Reports restored from a journal are in it already; inline ones
         # (an older checkpoint) go into the next save's journal.
         self._journaled = (
@@ -470,7 +483,9 @@ class ResilientStreamingRegHD(StreamingRegHD):
         checkpointed policy, ``value_range`` and ``fill_value`` around
         the restored Mahalanobis gate unless ``guard=`` is passed (a
         checkpoint that records only the gate gets a ``mahalanobis``
-        guard); ``guard=None`` resumes unguarded.
+        guard); ``guard=None`` resumes unguarded.  The guard's running
+        ``total`` comes back with the history, so both count the same
+        batches.
 
         Raises :class:`RecoveryError` when no valid checkpoint exists.
         """

@@ -32,7 +32,7 @@ from repro.metrics import mean_squared_error
 from repro.robust.conformal import AdaptiveConformal, PredictionInterval
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
-from repro.telemetry.spans import span
+from repro.telemetry.tracing import span
 from repro.types import ArrayLike, FloatArray
 from repro.utils.validation import check_1d, check_2d, check_matching_lengths
 

@@ -8,14 +8,14 @@ not an afterthought.  This package provides:
   histograms (pure numpy, lock-free on the single-thread path,
   thread-safe under concurrent callers) plus a structured event
   log for discrete reliability occurrences;
-* :func:`span` — a nested context-manager tracer on the monotonic clock
-  (:func:`monotonic`), recording per-path duration histograms;
-* :func:`trace` / :class:`Tracer` — contextvar-based trace contexts
-  giving every stream batch, replay batch and distributed round a trace
-  id; spans completed under an open trace gain parent/child structure,
-  latency histograms record the slowest trace id per bucket
-  (exemplars), and :func:`to_chrome_trace` exports the span records as
-  Chrome trace-event JSON (``repro trace --out trace.json``);
+* :func:`span` / :func:`trace` / :class:`Tracer` — one span stack on
+  the monotonic clock (:func:`monotonic`): spans record per-path
+  duration histograms, and a trace gives every stream batch, replay
+  batch and distributed round a trace id; spans closed under an open
+  trace gain parent/child structure, latency histograms record the
+  slowest trace id per bucket (exemplars), and :func:`to_chrome_trace`
+  exports the span records as Chrome trace-event JSON
+  (``repro trace --out trace.json``);
 * :class:`FlightRecorder` / :func:`auto_dump` — a bounded black box of
   recent spans, events and metric deltas that dumps a post-mortem
   bundle (trace tree, last-N events, gate values, checkpoint id) on
@@ -29,9 +29,8 @@ not an afterthought.  This package provides:
 
 Collection is off by default and costs one ``None`` check per
 instrumentation site when off: :func:`enable` / :func:`disable` flip the
-module-level sink, ``REPRO_TELEMETRY=1`` flips it at import time
-(``REPRO_TRACE=1`` additionally arms the tracer), and
-``RegHDConfig.telemetry`` pins it per model.  Every metric the library
+module-level sink, and ``REPRO_TELEMETRY=1`` flips it at import time
+(``REPRO_TRACE=1`` additionally arms the tracer).  Every metric the library
 emits is catalogued in :data:`~repro.telemetry.metrics.CATALOG`
 (reproduced in DESIGN.md §1.12).
 
@@ -53,22 +52,20 @@ from repro.telemetry.metrics import (
     enable,
     enabled,
     remove_event_hook,
-    set_enabled,
 )
-from repro.telemetry.spans import Span, span
 from repro.telemetry.timing import monotonic
 from repro.telemetry.tracing import (
+    Span,
     SpanRecord,
     TRACE_ENV_VAR,
-    TraceContext,
     Tracer,
     active_tracer,
     current_trace_id,
     disable_tracing,
     enable_tracing,
+    span,
     to_chrome_trace,
     trace,
-    tracing_enabled,
     write_chrome_trace,
 )
 from repro.telemetry.flight import (
@@ -108,7 +105,6 @@ __all__ = [
     "SpanRecord",
     "TELEMETRY_ENV_VAR",
     "TRACE_ENV_VAR",
-    "TraceContext",
     "Tracer",
     "active",
     "active_recorder",
@@ -129,14 +125,12 @@ __all__ = [
     "remove_event_hook",
     "render_top",
     "run_top",
-    "set_enabled",
     "span",
     "to_chrome_trace",
     "to_json",
     "to_prometheus",
     "trace",
     "trace_tree",
-    "tracing_enabled",
     "write_chrome_trace",
     "write_metrics",
 ]

@@ -48,7 +48,6 @@ __all__ = [
     "enable",
     "enabled",
     "remove_event_hook",
-    "set_enabled",
     "set_exemplar_provider",
 ]
 
@@ -199,7 +198,9 @@ CATALOG: dict[str, tuple[str, str]] = {
     ),
     "reghd_span_seconds": (
         "histogram",
-        "Nested span durations, labelled with the full span path.",
+        "Nested span durations, labelled with the span path; trace "
+        "frames are not path segments, so labels do not depend on "
+        "tracing.",
     ),
     "reghd_distributed_rounds_total": (
         "counter",
@@ -620,15 +621,6 @@ def disable() -> None:
     """Switch telemetry off (drops the registry reference)."""
     global _active
     _active = None
-
-
-def set_enabled(flag: bool) -> None:
-    """Config hook: ``True`` enables (keeping any registry), ``False``
-    disables.  Mirrors ``RegHDConfig.telemetry``."""
-    if flag:
-        enable()
-    else:
-        disable()
 
 
 if os.environ.get(TELEMETRY_ENV_VAR, "").strip().lower() in _TRUTHY:

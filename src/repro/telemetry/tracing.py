@@ -1,27 +1,42 @@
-"""Trace-context propagation and Chrome trace-event export.
+"""Spans and traces on one span stack, and Chrome trace-event export.
 
-A *trace* groups everything the pipeline did for one unit of work — a
-replay batch, a stream update, a distributed round — under one
-deterministic trace id.  :func:`trace` opens a trace as a context
-manager and installs a :class:`TraceContext` in a ``contextvars``
-variable; every :func:`~repro.telemetry.spans.span` that completes while
-the trace is open attaches to it with parent/child structure (the
-context carries a stack of open span ids).  Completed spans land as
-:class:`SpanRecord` entries in the module-level :class:`Tracer` ring,
-from which :func:`to_chrome_trace` renders the standard Chrome
+``with span("stream"): ... with span("predict"): ...`` times the inner
+stage under the *path* ``stream/predict``: each closed span lands as one
+observation in the ``reghd_span_seconds`` histogram, labelled with its
+path.  A *trace* groups everything the pipeline did for one unit of
+work — a replay batch, a stream update, a distributed round — under one
+deterministic trace id.  :func:`span` and :func:`trace` both push a
+frame onto one stack, a ``contextvars`` variable holding the innermost
+open frame; a frame reads its path, its parent span id and its trace id
+from its parent.  Threads start with an empty context, so concurrently
+serving threads trace independently.
+
+A :func:`trace` frame is never a path segment and never observes
+``reghd_span_seconds``, so span labels are the same with the tracer on
+or off.  Opening a trace while one is open *joins* it as a child frame
+and yields the outer trace's root frame: a batch wrapped by the replay
+engine, the resilient stream and the streaming layer keeps one id.
+
+Under an armed tracer (:func:`enable_tracing`) every closed frame
+becomes a :class:`SpanRecord` in the module-level :class:`Tracer` ring,
+and :func:`stage` adds a leaf record with explicit timestamps under the
+innermost open frame (the serving executor's ``tile/*`` stages).
+:func:`to_chrome_trace` renders the records as the standard Chrome
 trace-event JSON (``chrome://tracing`` / Perfetto ``ph: "X"`` complete
 events).
 
 Design rules, matching :mod:`repro.telemetry.metrics`:
 
-* **Zero overhead when disabled.**  :func:`trace` and :func:`current`
-  check the module sink (:func:`active_tracer`) first; with tracing off
-  they cost one ``None`` check — no contextvar read, no allocation.
+* **Zero overhead when disabled.**  :func:`span` checks the metrics
+  sink and :func:`trace` the tracer first; while off they return one
+  shared stateless no-op frame — no clock read, no contextvar write, no
+  allocation.
 * **Deterministic ids.**  Trace and span ids are sequence numbers from
   the tracer, never wall-clock or random values, so two runs of the
   same seeded workload produce byte-identical trace structures (only
   the sanctioned monotonic timestamps differ, and tests pin those by
-  monkeypatching :func:`repro.telemetry.timing.monotonic`).
+  monkeypatching :func:`repro.telemetry.timing.monotonic`, which every
+  frame reads as a module attribute).
 * **Bit-identical predictions.**  Tracing only ever *observes*; no
   numeric path reads the trace state.
 
@@ -45,25 +60,29 @@ from repro.telemetry import metrics
 from repro.telemetry import timing
 
 __all__ = [
+    "SPAN_METRIC",
+    "Span",
     "SpanRecord",
     "TRACE_ENV_VAR",
-    "TraceContext",
     "Tracer",
     "active_tracer",
     "add_span_sink",
-    "current",
     "current_trace_id",
     "disable_tracing",
     "enable_tracing",
     "remove_span_sink",
+    "span",
+    "stage",
     "to_chrome_trace",
     "trace",
-    "tracing_enabled",
     "write_chrome_trace",
 ]
 
 #: environment variable that switches tracing (and telemetry) on at import.
 TRACE_ENV_VAR = "REPRO_TRACE"
+
+#: histogram receiving every closed span's duration.
+SPAN_METRIC = "reghd_span_seconds"
 
 _TRUTHY = frozenset({"1", "true", "on", "yes"})
 
@@ -135,48 +154,12 @@ class SpanRecord:
         return d
 
 
-class TraceContext:
-    """The ambient state of one open trace.
-
-    Holds the deterministic trace id, the root span id, and a stack of
-    open span ids used to parent nested spans.  The stack is only ever
-    touched from the thread that opened the trace; a caller that times a
-    stage itself attaches it as a leaf record with
-    :meth:`Tracer.record_stage` instead.
-    """
-
-    __slots__ = ("trace_id", "name", "attrs", "root_id", "_stack")
-
-    def __init__(self, trace_id: str, name: str, attrs: dict, root_id: int):
-        self.trace_id = trace_id
-        self.name = name
-        self.attrs = attrs
-        self.root_id = root_id
-        self._stack: list[int] = [root_id]
-
-    def enter_span(self, span_id: int) -> int:
-        """Push an opening span; returns its parent's span id."""
-        parent = self._stack[-1]
-        self._stack.append(span_id)
-        return parent
-
-    def exit_span(self, span_id: int) -> None:
-        """Pop a closing span (tolerates mismatched exits)."""
-        if len(self._stack) > 1 and self._stack[-1] == span_id:
-            self._stack.pop()
-
-
-_current_ctx: ContextVar[TraceContext | None] = ContextVar(
-    "reghd_trace_context", default=None
-)
-
-
 class Tracer:
     """Bounded ring of completed span records with deterministic ids.
 
     ``capacity`` bounds memory for long runs; the newest records win.
     Record appends are a single ``deque.append`` (thread-safe under the
-    GIL), so concurrent callers can record stage spans without locking.
+    GIL), so threads tracing concurrently record without locking.
     """
 
     def __init__(self, *, capacity: int = 8192):
@@ -213,35 +196,6 @@ class Tracer:
         for sink in _span_sinks:
             sink(record)
 
-    def record_stage(
-        self,
-        ctx: TraceContext,
-        name: str,
-        start: float,
-        end: float,
-        **attrs: object,
-    ) -> None:
-        """Record a leaf span with explicit timestamps under ``ctx``'s root.
-
-        The serving executor times each tile's stages with one clock
-        read per stage boundary and attaches them here (``tile/encode``,
-        ``tile/search``, ``tile/accumulate``) — no stack mutation, just
-        an appended record.
-        """
-        self.record(
-            SpanRecord(
-                trace_id=ctx.trace_id,
-                span_id=self.next_span_id(),
-                parent_id=ctx.root_id,
-                name=name,
-                path=name,
-                start=start,
-                end=end,
-                thread=threading.get_ident(),
-                attrs=attrs or None,
-            )
-        )
-
     @property
     def records(self) -> list[SpanRecord]:
         """The retained span records, oldest first (snapshot copy)."""
@@ -258,97 +212,149 @@ class Tracer:
         return self._span_seq
 
 
-class _NullTrace:
-    """Shared no-op context manager for the disabled path.
+def _record(
+    tracer: Tracer,
+    root: "_Trace | None",
+    span_id: int,
+    parent_id: int | None,
+    name: str,
+    path: str,
+    start: float,
+    end: float,
+    attrs: dict | None,
+) -> None:
+    """Record one finished span: a closed frame or a timed stage."""
+    tracer.record(
+        SpanRecord(
+            trace_id="" if root is None else root.trace_id,
+            span_id=span_id,
+            parent_id=parent_id,
+            name=name,
+            path=path,
+            start=start,
+            end=end,
+            thread=threading.get_ident(),
+            attrs=attrs,
+        )
+    )
 
-    Mirrors the :class:`TraceContext` surface call sites read
-    (``trace_id`` / ``root_id``) so ``with trace(...) as t`` code never
-    branches on the enabled state.
+
+class Span:
+    """One open span: the innermost frame of the span stack while open.
+
+    Its path extends the parent frame's path by its name.  The duration
+    is observed into ``reghd_span_seconds{span=<path>}`` on exit,
+    including when the body raises (the exception still propagates).
+    Under an armed tracer the frame also claims a deterministic span id,
+    takes its parent's span id and trace (``root``), and emits a
+    :class:`SpanRecord` on exit; ``root`` is None outside any trace, and
+    such orphan spans record with an empty trace id.
     """
+
+    __slots__ = (
+        "name", "path", "root", "span_id", "parent_id", "_registry",
+        "_tracer", "_parent", "_start",
+    )
+
+    def __init__(self, name: str, registry: metrics.MetricsRegistry | None):
+        self.name = str(name)
+        self._registry = registry
+
+    def _push(self, tracer: Tracer | None) -> str:
+        """Make this frame the innermost; returns the parent's path."""
+        parent = self._parent = _frame.get()
+        self._tracer = tracer
+        self.span_id = None if tracer is None else tracer.next_span_id()
+        if parent is None:
+            self.root = self.parent_id = None
+        else:
+            self.root, self.parent_id = parent.root, parent.span_id
+        _frame.set(self)
+        return "" if parent is None else parent.path
+
+    def _pop(self, path: str, attrs: dict | None) -> float:
+        """Restore the parent frame and record this one; returns the
+        end time."""
+        end = timing.monotonic()
+        _frame.set(self._parent)
+        if self._tracer is not None:
+            _record(
+                self._tracer, self.root, self.span_id, self.parent_id,
+                self.name, path, self._start, end, attrs,
+            )
+        return end
+
+    def __enter__(self) -> "Span":
+        prefix = self._push(_tracer)
+        self.path = f"{prefix}/{self.name}" if prefix else self.name
+        self._start = timing.monotonic()
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        end = self._pop(self.path, None)
+        self._registry.histogram(SPAN_METRIC, span=self.path).observe(
+            end - self._start
+        )
+        return False
+
+
+class _Trace(Span):
+    """A trace frame: the root of a new trace, or a child of the open one.
+
+    It keeps its parent's path, so it is never a path segment, and it
+    observes no span histogram.  An opening frame claims the trace id
+    and is its own ``root``; a joining frame drops its attrs.  Either
+    way ``with trace(...) as t`` yields the root frame, whose
+    ``trace_id`` names the trace.  Records carry the frame's name as
+    their path.
+    """
+
+    __slots__ = ("trace_id", "attrs")
+
+    def __init__(self, tracer: Tracer, name: str, attrs: dict):
+        super().__init__(name, None)
+        self._tracer = tracer
+        self.attrs = attrs
+
+    def __enter__(self) -> "_Trace":
+        tracer = self._tracer
+        self.path = self._push(tracer)
+        if self.root is None:
+            self.root, self.parent_id = self, None
+            self.trace_id = tracer.next_trace_id()
+            registry = metrics.active()
+            if registry is not None:
+                registry.counter("reghd_trace_traces_total").inc()
+        else:
+            self.attrs = None
+        self._start = timing.monotonic()
+        return self.root
+
+    def __exit__(self, *exc: object) -> bool:
+        self._pop(self.name, self.attrs or None)
+        return False
+
+
+class _NullFrame:
+    """The shared no-op frame :func:`span` and :func:`trace` return
+    while off; ``trace_id`` reads None, so ``with trace(...) as t`` code
+    never branches on the enabled state."""
 
     __slots__ = ()
 
     trace_id = None
-    root_id = None
 
-    def __enter__(self) -> "_NullTrace":
+    def __enter__(self) -> "_NullFrame":
         return self
 
     def __exit__(self, *exc: object) -> bool:
         return False
 
 
-_NULL_TRACE = _NullTrace()
+_NULL_FRAME = _NullFrame()
 
-
-class _JoinedTrace:
-    """A trace opened while another is already open on this context.
-
-    One unit of work gets ONE trace id, however many layers wrap it:
-    when the replay engine has already opened a batch trace, the
-    streaming layer's ``trace("stream/batch")`` joins it as a child
-    span instead of minting a new id.  Yields the *outer* context, so
-    ``trace_id`` reads stay truthful.
-    """
-
-    __slots__ = ("_span", "_ctx")
-
-    def __init__(self, span_cm, ctx: TraceContext):
-        self._span = span_cm
-        self._ctx = ctx
-
-    def __enter__(self) -> TraceContext:
-        self._span.__enter__()
-        return self._ctx
-
-    def __exit__(self, *exc: object) -> bool:
-        return self._span.__exit__(*exc)
-
-
-class _Trace:
-    """One opening trace: installs the context, records the root span."""
-
-    __slots__ = ("_tracer", "name", "attrs", "_ctx", "_token", "_start")
-
-    def __init__(self, tracer: Tracer, name: str, attrs: dict):
-        self._tracer = tracer
-        self.name = str(name)
-        self.attrs = attrs
-
-    def __enter__(self) -> TraceContext:
-        tracer = self._tracer
-        ctx = TraceContext(
-            tracer.next_trace_id(),
-            self.name,
-            self.attrs,
-            tracer.next_span_id(),
-        )
-        self._ctx = ctx
-        self._token = _current_ctx.set(ctx)
-        registry = metrics.active()
-        if registry is not None:
-            registry.counter("reghd_trace_traces_total").inc()
-        self._start = timing.monotonic()
-        return ctx
-
-    def __exit__(self, *exc: object) -> bool:
-        end = timing.monotonic()
-        ctx = self._ctx
-        _current_ctx.reset(self._token)
-        self._tracer.record(
-            SpanRecord(
-                trace_id=ctx.trace_id,
-                span_id=ctx.root_id,
-                parent_id=None,
-                name=self.name,
-                path=self.name,
-                start=self._start,
-                end=end,
-                thread=threading.get_ident(),
-                attrs=self.attrs or None,
-            )
-        )
-        return False
+#: the innermost open frame of this context's span stack.
+_frame: ContextVar[Span | None] = ContextVar("reghd_span_frame", default=None)
 
 
 # -- the module-level sink ---------------------------------------------------
@@ -357,24 +363,9 @@ _tracer: Tracer | None = None
 _span_sinks: tuple = ()
 
 
-def tracing_enabled() -> bool:
-    """Whether a tracer is currently collecting."""
-    return _tracer is not None
-
-
 def active_tracer() -> Tracer | None:
-    """The collecting tracer, or None when tracing is off.
-
-    The hot-path guard: :func:`~repro.telemetry.spans.span` checks it
-    once per span and skips all trace work when disabled.
-    """
+    """The collecting tracer, or None when tracing is off."""
     return _tracer
-
-
-def _current_trace_id() -> str | None:
-    """Exemplar provider installed into the metrics layer while on."""
-    ctx = _current_ctx.get()
-    return None if ctx is None else ctx.trace_id
 
 
 def enable_tracing(tracer: Tracer | None = None) -> Tracer:
@@ -390,7 +381,7 @@ def enable_tracing(tracer: Tracer | None = None) -> Tracer:
     elif _tracer is None:
         _tracer = Tracer()
     metrics.enable()
-    metrics.set_exemplar_provider(_current_trace_id)
+    metrics.set_exemplar_provider(current_trace_id)
     return _tracer
 
 
@@ -421,38 +412,58 @@ def remove_span_sink(sink) -> None:
     _span_sinks = tuple(s for s in _span_sinks if s != sink)
 
 
-def trace(name: str, **attrs: object) -> "_Trace | _NullTrace":
-    """Open a trace around one unit of work.
+def span(name: str) -> "Span | _NullFrame":
+    """A timing context manager for one named span.
 
-    Returns the shared null trace when tracing is disabled, so the
+    Returns the shared null frame when telemetry is disabled, so the
+    ``with`` costs one attribute check and nothing else.
+    """
+    registry = metrics.active()
+    if registry is None:
+        return _NULL_FRAME
+    return Span(name, registry)
+
+
+def trace(name: str, **attrs: object) -> "_Trace | _NullFrame":
+    """Open a trace around one unit of work, or join the open one.
+
+    Returns the shared null frame when tracing is disabled, so the
     ``with`` costs one module-global check and nothing else.  The
-    yielded :class:`TraceContext` exposes the deterministic
-    ``trace_id``.  Opening a trace while one is already open *joins*
-    it as a child span (attrs are dropped) — a batch wrapped by both
-    the replay engine and the streaming layer keeps a single id.
+    yielded root frame exposes the deterministic ``trace_id``; a trace
+    opened while one is open joins it as a child frame (attrs are
+    dropped) and yields the outer root.
     """
     tracer = _tracer
     if tracer is None:
-        return _NULL_TRACE
-    ctx = _current_ctx.get()
-    if ctx is not None:
-        from repro.telemetry.spans import span as _span
-
-        return _JoinedTrace(_span(name), ctx)
+        return _NULL_FRAME
     return _Trace(tracer, name, attrs)
 
 
-def current() -> TraceContext | None:
-    """The open trace context, or None (also None when tracing is off)."""
-    if _tracer is None:
-        return None
-    return _current_ctx.get()
+def stage(name: str, start: float, end: float, **attrs: object) -> None:
+    """Record a finished leaf span with explicit timestamps.
+
+    The serving executor times each tile's stages with one clock read
+    per stage boundary and hands them here (``tile/encode``,
+    ``tile/search``, ``tile/accumulate``).  The record hangs under the
+    innermost open frame, keeps its name as its path and observes no
+    span histogram; outside an open trace nothing is recorded.
+    """
+    tracer = _tracer
+    parent = None if tracer is None else _frame.get()
+    if parent is None or parent.root is None:
+        return
+    _record(
+        tracer, parent.root, tracer.next_span_id(), parent.span_id,
+        name, name, start, end, attrs or None,
+    )
 
 
 def current_trace_id() -> str | None:
-    """The open trace's id, or None."""
-    ctx = current()
-    return None if ctx is None else ctx.trace_id
+    """The open trace's id, or None (also None when tracing is off)."""
+    if _tracer is None:
+        return None
+    frame = _frame.get()
+    return None if frame is None or frame.root is None else frame.root.trace_id
 
 
 # -- Chrome trace-event export -----------------------------------------------

@@ -208,6 +208,33 @@ class TestWatchdogRollback:
         )
         assert stream.watchdog.state is HealthState.HEALTHY
 
+    def test_rollback_rewinds_guard_totals_with_history(self, tmp_path):
+        """The guard's running counts cover the batches the history
+        keeps: a rollback rewinds both, the rolling-back batch re-added."""
+        stream = ResilientStreamingRegHD(
+            4, CONFIG, guard="repair",
+            checkpoint_dir=tmp_path, checkpoint_every=5,
+            watchdog=Watchdog(
+                baseline_batches=10, window=3, fail_factor=4.0
+            ),
+            forgetting=1.0,
+        )
+        rng = np.random.default_rng(5)
+        batches = make_batches(22) + [
+            (rng.normal(size=(48, 4)), 1e4 * np.ones(48)) for _ in range(10)
+        ]
+        for X, y in batches:
+            X = X.copy()
+            X[0, 0] = np.nan  # one repaired value per batch
+            if stream.update(X, y).rolled_back:
+                break
+        assert stream.rollbacks[0].restored_batch == 20
+        reports = [r.guard for r in stream.history.reports]
+        assert len(reports) < stream.rollbacks[0].at_batch
+        total = stream.guard.total
+        assert total.n_rows_in == sum(r.n_rows_in for r in reports)
+        assert total.n_repaired_values == len(reports)
+
     def test_no_rollback_without_checkpoints(self):
         stream = ResilientStreamingRegHD(
             4, CONFIG,

@@ -45,7 +45,7 @@ class _MaskedGuard(InputGuard):
         )
         n_bad = int(bad_X.sum() + out_of_range.sum() + bad_y.sum())
         if n_bad == 0 and self.policy is not GuardPolicy.MAHALANOBIS:
-            self._accumulate(report)
+            self.accumulate(report)
             self._emit(report, "clean")
             return X_arr, y_arr, report
         if bad_X.any():

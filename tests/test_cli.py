@@ -336,6 +336,36 @@ class TestStream:
         assert "recovered from checkpoint at batch 6" in out
         assert "rows gated" in out
 
+    def test_stream_resume_keeps_counting_gated_rows(self, tmp_path, capsys):
+        """``rows gated`` counts the same batches as ``batches
+        processed``: the resumed count is the first run's count plus the
+        rows the resumed batches gated, as in one uninterrupted run."""
+        args = [
+            "stream",
+            "--dataset", "airfoil",
+            "--k", "2",
+            "--dim", "256",
+            "--batch-size", "50",
+            "--guard-policy", "mahalanobis",
+            "--contaminate", "0.1",
+            "--contaminate-magnitude", "10.0",
+        ]
+        checkpointed = args + [
+            "--checkpoint-dir", str(tmp_path / "ckpts"),
+            "--checkpoint-every", "5",
+        ]
+
+        def gated(argv: list[str]) -> int:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return int(out.split("rows gated")[1].split(":")[1].split()[0])
+
+        first = gated(checkpointed + ["--max-batches", "20"])
+        resumed = gated(checkpointed + ["--resume", "--max-batches", "2"])
+        uninterrupted = gated(args + ["--max-batches", "22"])
+        assert first > 0
+        assert resumed == uninterrupted > first
+
     def test_stream_resume_requires_checkpoint_dir(self, capsys):
         code = main(
             ["stream", "--dataset", "boston", "--resume"]

@@ -9,6 +9,7 @@ from repro.core.quantization import (
     PredictQuant,
     binarize_preserving_scale,
 )
+from repro.runtime import pack_sign_words
 
 
 class TestBinarizePreservingScale:
@@ -75,6 +76,19 @@ class TestDualCopy:
         dc.update(0, np.array([5.0, -5.0]))
         dc.rebinarize()
         np.testing.assert_allclose(np.sign(dc.binary[0]), [1.0, -1.0])
+
+    def test_nan_poisoned_signs_match_packed_words(self):
+        """A NaN component takes the sign its packed bit gives it: -1,
+        never the 0 a float sign would cast to."""
+        rng = np.random.default_rng(0)
+        dc = DualCopy(rng.normal(size=(3, 70)))
+        dc.integer[1, [0, 5, 69]] = np.nan
+        dc.touch()
+        dc.rebinarize()
+        np.testing.assert_array_equal(np.unique(dc.signs), [-1.0, 1.0])
+        np.testing.assert_array_equal(
+            pack_sign_words(dc.signs), pack_sign_words(dc.integer)
+        )
 
     def test_update_all(self):
         dc = DualCopy(np.zeros((2, 3)))

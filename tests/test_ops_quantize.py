@@ -1,5 +1,7 @@
 """Tests for the quantisers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,19 @@ class TestBipolarize:
     def test_invalid_tie_value(self):
         with pytest.raises(ValueError):
             bipolarize([1.0], tie_value=0)
+
+    @pytest.mark.parametrize(
+        "tie_value, expected",
+        [(1, [-1, 1, 1, 1, -1]), (-1, [-1, -1, -1, 1, -1])],
+    )
+    def test_nan_and_signed_zero(self, tie_value, expected):
+        """One comparison per sign: NaN fails it and maps to -1 (no
+        warning int8 cast to 0); both zeros are ties."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bipolarize([np.nan, 0.0, -0.0, 1.0, -1.0], tie_value=tie_value)
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == np.int8
 
     def test_output_never_contains_zero(self):
         rng = np.random.default_rng(0)

@@ -209,6 +209,27 @@ def test_no_ad_hoc_timing_outside_telemetry():
     )
 
 
+def test_one_span_stack():
+    """Spans and traces push frames onto one stack: the only
+    ``ContextVar`` in src is the innermost-frame variable in
+    ``telemetry/tracing.py``, and ``threading.local`` holds only the
+    per-thread metric cells in ``telemetry/metrics.py`` — no second,
+    per-thread span stack."""
+    contextvars = _offending_lines(r"ContextVar\(")
+    assert [hit.split(":")[0] for hit in contextvars] == [
+        "repro/telemetry/tracing.py"
+    ], "one ContextVar in src, in telemetry/tracing.py:\n" + "\n".join(
+        contextvars
+    )
+    hits = _offending_lines(
+        r"threading\.local\(", exclude={TELEMETRY_DIR / "metrics.py"}
+    )
+    assert not hits, (
+        "threading.local outside telemetry/metrics.py — nest spans on the "
+        "tracing module's frame stack:\n" + "\n".join(hits)
+    )
+
+
 def test_no_benchmark_harness_in_src():
     """Speed is measured by ``python3 -m bench run`` and quality claims are
     pytest assertions under ``benchmarks/``, so ``src`` holds no benchmark

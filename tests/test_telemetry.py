@@ -28,7 +28,7 @@ from repro.core.quantization import ClusterQuant, PredictQuant
 from repro.exceptions import ConfigurationError
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import _NULL_SPAN
+from repro.telemetry.tracing import _NULL_FRAME
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "telemetry"
 
@@ -200,12 +200,6 @@ class TestSink:
         telemetry.disable()
         assert telemetry.active() is None
 
-    def test_set_enabled_mirrors_config_pin(self):
-        metrics_mod.set_enabled(True)
-        assert telemetry.enabled()
-        metrics_mod.set_enabled(False)
-        assert not telemetry.enabled()
-
     def test_env_var_truthy_values(self):
         for raw, expected in [
             ("1", True), ("true", True), ("ON", True), ("yes", True),
@@ -251,8 +245,8 @@ class TestSink:
 
 class TestDisabledPath:
     def test_span_is_shared_null_object(self):
-        assert telemetry.span("anything") is _NULL_SPAN
-        assert telemetry.span("other") is _NULL_SPAN
+        assert telemetry.span("anything") is _NULL_FRAME
+        assert telemetry.span("other") is _NULL_FRAME
         with telemetry.span("noop"):
             pass
 

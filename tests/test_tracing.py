@@ -5,8 +5,12 @@ Covers the tracing acceptance criteria:
 * the disabled path is a shared no-op (no contextvar reads, no
   allocation) and predictions are bit-identical with tracing on or off;
 * trace/span ids are deterministic sequence numbers, parent/child
-  structure follows span nesting, and a trace opened inside another
-  joins it instead of minting a second id;
+  structure follows span nesting, a trace opened inside another joins
+  it instead of minting a second id, and a compiled plan's tile stages
+  hang under the innermost open span;
+* span and trace frames share one stack: ``reghd_span_seconds`` labels
+  are the same with the tracer on or off, and threads nest spans
+  independently;
 * latency histograms record the slowest observation's trace id per
   bucket (exemplars) while a trace is open;
 * a fitted stream update records one ``encode`` span, under
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +35,8 @@ from repro.core.multi import MultiModelRegHD
 from repro.streaming import StreamingRegHD
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry import tracing as tracing_mod
-from repro.telemetry.tracing import _NULL_TRACE
+from repro.telemetry.tracing import _NULL_FRAME
+from repro.workloads.replay import ReplayEngine
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "telemetry"
 
@@ -66,12 +73,11 @@ class TestDisabledPath:
     def test_trace_returns_shared_null(self):
         a = telemetry.trace("batch")
         b = telemetry.trace("other", attr=1)
-        assert a is b is _NULL_TRACE
+        assert a is b is _NULL_FRAME
 
     def test_null_trace_exposes_none_ids(self):
         with telemetry.trace("batch") as t:
             assert t.trace_id is None
-            assert t.root_id is None
         assert telemetry.current_trace_id() is None
 
     def test_enabling_metrics_alone_records_no_trace(self):
@@ -143,14 +149,128 @@ class TestTraceStructure:
         # root span + inner span
         assert reg.counter("reghd_trace_spans_total").value == 2
 
-    def test_record_stage_attaches_to_root(self):
+    def test_plan_stages_hang_under_the_innermost_span(self, tiny_regression):
+        X_train, y_train, X_test, _ = tiny_regression
+        model = MultiModelRegHD(
+            X_train.shape[1], RegHDConfig(dim=128, n_models=2, seed=0)
+        )
+        model.partial_fit(X_train, y_train)
+        plan = model.compile(tile_rows=16)
         tracer = telemetry.enable_tracing()
-        with telemetry.trace("batch") as ctx:
-            tracer.record_stage(ctx, "tile/encode", 0.0, 0.5, rows=64)
-        stage = next(r for r in tracer.records if r.name == "tile/encode")
-        assert stage.trace_id == ctx.trace_id
-        assert stage.parent_id == ctx.root_id
-        assert stage.attrs == {"rows": 64}
+        with telemetry.trace("r") as root:
+            with telemetry.span("predict"):
+                plan.predict(X_test)
+        predict = next(r for r in tracer.records if r.name == "predict")
+        stages = [r for r in tracer.records if r.name.startswith("tile/")]
+        n_tiles = -(-len(X_test) // 16)
+        assert sorted({r.name for r in stages}) == [
+            "tile/accumulate", "tile/encode", "tile/search"
+        ]
+        assert len(stages) == 3 * n_tiles
+        assert {r.parent_id for r in stages} == {predict.span_id}
+        assert {r.trace_id for r in stages} == {root.trace_id}
+        assert {r.path for r in stages} == {r.name for r in stages}
+        assert sum(r.attrs["rows"] for r in stages) == 3 * len(X_test)
+
+    def test_plan_stages_outside_a_trace_are_not_recorded(
+        self, tiny_regression
+    ):
+        X_train, y_train, X_test, _ = tiny_regression
+        model = MultiModelRegHD(
+            X_train.shape[1], RegHDConfig(dim=128, n_models=2, seed=0)
+        )
+        model.partial_fit(X_train, y_train)
+        plan = model.compile()
+        tracer = telemetry.enable_tracing()
+        with telemetry.span("predict"):
+            plan.predict(X_test)
+        assert [r.name for r in tracer.records] == ["predict"]
+
+
+def _span_labels(registry) -> set[str]:
+    return {
+        dict(m.labels)["span"]
+        for m in registry.metrics()
+        if m.name == "reghd_span_seconds"
+    }
+
+
+class TestOneSpanStack:
+    """Span and trace frames share one stack: a trace frame is never a
+    path segment, so the tracer does not rename span series."""
+
+    def test_stream_update_labels_equal_tracing_on_and_off(self):
+        from repro.reliability.resilient import ResilientStreamingRegHD
+
+        def labels(traced: bool) -> set[str]:
+            rng = np.random.default_rng(0)
+            stream = ResilientStreamingRegHD(
+                4, RegHDConfig(dim=128, n_models=4, seed=0)
+            )
+            stream.update(rng.normal(size=(16, 4)), rng.normal(size=16))
+            registry = metrics_mod.enable(metrics_mod.MetricsRegistry())
+            if traced:
+                telemetry.enable_tracing()
+            stream.update(rng.normal(size=(16, 4)), rng.normal(size=16))
+            tracing_mod.disable_tracing()
+            metrics_mod.disable()
+            return _span_labels(registry)
+
+        off, on = labels(False), labels(True)
+        assert "predict/encode" in off
+        assert on == off
+
+    def test_replay_labels_equal_tracing_on_and_off(self):
+        def labels(traced: bool) -> set[str]:
+            registry = metrics_mod.enable(metrics_mod.MetricsRegistry())
+            ReplayEngine(quick=True, trace=traced).run("airfoil_steady")
+            metrics_mod.disable()
+            return _span_labels(registry)
+
+        off, on = labels(False), labels(True)
+        assert "predict/encode" in off
+        assert on == off
+
+    def test_threads_nest_spans_independently(self):
+        tracer = telemetry.enable_tracing()
+        names = {0: ("a0", "a1", "a2"), 1: ("b0", "b1", "b2")}
+        barrier = threading.Barrier(2)
+
+        def work(worker: int) -> None:
+            outer, mid, inner = names[worker]
+            barrier.wait(timeout=10)
+            for _ in range(200):
+                with telemetry.span(outer):
+                    with telemetry.span(mid):
+                        with telemetry.span(inner):
+                            pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(w,)) for w in names
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        records = tracer.records
+        assert len(records) == 2 * 3 * 200
+        by_id = {r.span_id: r for r in records}
+        for rec in records:
+            own = names[0] if rec.name in names[0] else names[1]
+            assert set(rec.path.split("/")) <= set(own)
+            if rec.parent_id is not None:
+                parent = by_id[rec.parent_id]
+                assert parent.thread == rec.thread
+                assert parent.name in own
+        assert {r.path for r in records} == {
+            "a0", "a0/a1", "a0/a1/a2", "b0", "b0/b1", "b0/b1/b2"
+        }
 
 
 class TestExemplars:
