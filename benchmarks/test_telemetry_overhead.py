@@ -4,12 +4,18 @@ The acceptance criterion for the observability layer is that turning the
 metrics sink on costs less than 3 % of packed serving throughput — the
 hot path reads one module global and, when enabled, a handful of counter
 increments per *tile*, never per row.  This benchmark serves the same
-batch through the same compiled packed plan with telemetry off and on
-and compares min-of-N latencies (min is the standard noise-robust
-estimator for a fixed workload: every source of interference only adds
-time).
+batch through the same compiled packed plan with telemetry off and on.
 
-Writes ``benchmarks/results/telemetry_overhead.txt``.
+The comparison is paired: each pair times one call with telemetry off
+and one with it on, back to back (alternating which goes first), and
+the overhead is the median of the pairs' on/off ratios minus one.  A
+host whose speed drifts in phases slows both calls of a pair alike, so
+the ratio cancels the phase that a comparison of two minima taken over
+the whole run keeps, and the median ignores the pairs a phase change
+splits.
+
+Writes ``benchmarks/results/telemetry_overhead.txt`` and
+``benchmarks/results/tracing_overhead.txt``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ MAX_TRACED_OVERHEAD = 0.05
 DIM = 4096
 ROWS = 2048
 FEATURES = 16
-REPEATS = 30
+#: off/on pairs per comparison
+PAIRS = 30
 
 
 @pytest.fixture(autouse=True)
@@ -70,33 +77,54 @@ def _serving_setup():
     return plan, X_serve
 
 
+def _paired_overhead(off, on) -> tuple[float, float, float]:
+    """``(overhead, off_s, on_s)`` over :data:`PAIRS` alternating pairs.
+
+    ``off(i)`` and ``on(i)`` each set up their telemetry state, serve
+    one batch and return its latency.  The overhead is the median of the
+    pairs' on/off ratios minus one; the latencies are the medians of
+    each side.
+    """
+    off(-1)  # warm-up: caches, allocator, branch predictors
+    offs, ons = [], []
+    for i in range(PAIRS):
+        if i % 2:
+            ons.append(on(i))
+            offs.append(off(i))
+        else:
+            offs.append(off(i))
+            ons.append(on(i))
+    return (
+        float(np.median(np.divide(ons, offs))) - 1.0,
+        float(np.median(offs)),
+        float(np.median(ons)),
+    )
+
+
 def test_telemetry_overhead_under_three_percent():
     plan, X = _serving_setup()
     registry = telemetry.enable(telemetry.MetricsRegistry())
 
-    # Interleave the off/on measurements: thermal and scheduler drift
-    # over the ~20 s run lands on both sides equally instead of biasing
-    # whichever side ran second.
-    telemetry.disable()
-    plan.predict(X)  # warm-up: caches, allocator, branch predictors
-    baseline = instrumented = np.inf
-    try:
-        for _ in range(REPEATS):
-            telemetry.disable()
-            start = monotonic()
-            plan.predict(X)
-            baseline = min(baseline, monotonic() - start)
+    def timed(i: int) -> float:
+        start = monotonic()
+        plan.predict(X)
+        return monotonic() - start
 
-            telemetry.enable(registry)
-            start = monotonic()
-            plan.predict(X)
-            instrumented = min(instrumented, monotonic() - start)
+    def off(i: int) -> float:
+        telemetry.disable()
+        return timed(i)
+
+    def on(i: int) -> float:
+        telemetry.enable(registry)
+        return timed(i)
+
+    try:
+        overhead, baseline, instrumented = _paired_overhead(off, on)
     finally:
         telemetry.disable()
 
-    overhead = instrumented / baseline - 1.0
     lines = [
-        f"packed serving, D={DIM}, {ROWS} rows, min of {REPEATS}:",
+        f"packed serving, D={DIM}, {ROWS} rows, median of {PAIRS} pairs:",
         f"  telemetry off : {baseline * 1e3:8.3f} ms",
         f"  telemetry on  : {instrumented * 1e3:8.3f} ms",
         f"  overhead      : {overhead * 100:+.2f} %  (bound {MAX_OVERHEAD:.0%})",
@@ -125,34 +153,29 @@ def test_tracing_overhead_under_five_percent():
     plan, X = _serving_setup()
     tracer = tracing.Tracer()
 
-    # Interleave the off/on measurements: thermal and scheduler drift
-    # over the ~20 s run then lands on both sides equally instead of
-    # biasing whichever side ran second.  One request = one trace, the
-    # serving pattern.
-    telemetry.disable()
-    tracing.disable_tracing()
-    plan.predict(X)  # warm-up: caches, allocator, branch predictors
-    baseline = traced = np.inf
-    try:
-        for i in range(REPEATS):
-            tracing.disable_tracing()
-            telemetry.disable()
-            start = monotonic()
-            plan.predict(X)
-            baseline = min(baseline, monotonic() - start)
+    def off(i: int) -> float:
+        tracing.disable_tracing()
+        telemetry.disable()
+        start = monotonic()
+        plan.predict(X)
+        return monotonic() - start
 
-            telemetry.enable_tracing(tracer)
-            start = monotonic()
-            with telemetry.trace("serve", batch=i):
-                plan.predict(X)
-            traced = min(traced, monotonic() - start)
+    def on(i: int) -> float:
+        # One request = one trace, the serving pattern.
+        telemetry.enable_tracing(tracer)
+        start = monotonic()
+        with telemetry.trace("serve", batch=i):
+            plan.predict(X)
+        return monotonic() - start
+
+    try:
+        overhead, baseline, traced = _paired_overhead(off, on)
     finally:
         tracing.disable_tracing()
         telemetry.disable()
 
-    overhead = traced / baseline - 1.0
     lines = [
-        f"packed serving, D={DIM}, {ROWS} rows, min of {REPEATS}:",
+        f"packed serving, D={DIM}, {ROWS} rows, median of {PAIRS} pairs:",
         f"  tracing off : {baseline * 1e3:8.3f} ms",
         f"  tracing on  : {traced * 1e3:8.3f} ms",
         f"  overhead    : {overhead * 100:+.2f} %"
@@ -164,7 +187,7 @@ def test_tracing_overhead_under_five_percent():
 
     # Vacuous-pass guard: the traced runs must have produced real trace
     # structure (root spans plus the executor's per-tile stage records).
-    assert tracer.n_traces == REPEATS
+    assert tracer.n_traces == PAIRS
     assert tracer.n_spans > tracer.n_traces
 
     assert overhead < MAX_TRACED_OVERHEAD, (

@@ -7,8 +7,6 @@ objects make that explicit and leak-free in the evaluation harness.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import NotFittedError
 from repro.types import ArrayLike, FloatArray
 from repro.utils.validation import check_1d, check_2d

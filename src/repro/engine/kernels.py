@@ -35,6 +35,8 @@ class TileScratch:
     scratch is a fraction of the unfused set.
     """
 
+    __slots__ = ("tile_rows", "dim", "main", "aux", "bits", "fused")
+
     def __init__(self, tile_rows: int, dim: int, *, fused: bool = False):
         self.tile_rows = int(tile_rows)
         self.dim = int(dim)

@@ -10,7 +10,11 @@ hypervectors under the configured Section-3 quantisation — into a
 binary operands are bit-packed into ``uint64`` words at compile time, so
 at serve time the quantised similarity search and the fully-binary model
 dot products run as XOR + popcount instead of float matrix products
-(paper Sec. 3: D-*bit* logic in place of D-element arithmetic).
+(paper Sec. 3: D-*bit* logic in place of D-element arithmetic).  When
+both stages run packed, the cluster and model sign words are the two row
+ranges of one read-only ``(2k, W)`` array, so a tile's query answers
+both stages from one XOR-popcount pass against every stored row, as an
+associative memory does.
 
 The plan is a value, not a view: further training of the source model
 does not change a compiled plan, a plan never mutates the model, and
@@ -53,6 +57,7 @@ from repro.runtime import (
     freeze_model_operand,
     frozen_copy,
     resolve_backend,
+    stack_sign_words,
 )
 from repro.telemetry import metrics as _metrics
 from repro.types import ArrayLike, FloatArray
@@ -194,8 +199,10 @@ class CompiledPlan:
         every operand array whose source did not move, re-packs only the
         rows whose sign pattern moved (tracked through
         :attr:`repro.runtime.DualCopy.sign_versions`), and copies
-        full-precision operands whole when the model changed.  The
-        per-row split counts into the lineage's :attr:`refresh_stats`.
+        full-precision operands whole when the model changed.  A plan
+        whose sign words are stacked shares its stack while no row
+        re-packs, and otherwise copies it into a new one.  The per-row
+        split counts into the lineage's :attr:`refresh_stats`.
 
         ``model`` must be the instance this plan was compiled from —
         refreshing from an unrelated model would silently mix two models'
@@ -218,6 +225,8 @@ class CompiledPlan:
             packed=self.packed_dots,
             previous=self.model_op,
         )
+        if self.cluster_op.stack is not None:
+            stack_sign_words(cluster_op, model_op, self.cluster_op.stack)
         refreshed = cluster_rows + model_rows
         reused = 2 * self.n_models - refreshed
         stats = self._stats
@@ -401,6 +410,8 @@ def compile_model(
     model_op, model_rows = freeze_model_operand(
         model.models, cfg.predict_quant, packed=packed_dots
     )
+    if packed_sims and packed_dots:
+        stack_sign_words(cluster_op, model_op)
     rows_snapshotted = cluster_rows + model_rows
 
     plan = CompiledPlan(

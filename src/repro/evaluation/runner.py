@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-import numpy as np
-
 from repro.datasets.base import Dataset
 from repro.datasets.preprocessing import StandardScaler
 from repro.datasets.splits import Split, train_test_split

@@ -13,7 +13,7 @@ speedup/efficiency *ratios* without the authors' FPGA testbed
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class OpKind(enum.Enum):

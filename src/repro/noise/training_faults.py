@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.mlp import MLPRegressor
-from repro.core.config import RegHDConfig
 from repro.core.multi import MultiModelRegHD
 from repro.exceptions import ConfigurationError
 from repro.metrics import mean_squared_error

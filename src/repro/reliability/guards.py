@@ -102,7 +102,9 @@ class InputGuard:
         ``in_features``; pass one explicitly to tune envelopes/warmup or
         to resume a checkpointed gate.
 
-    ``total`` sums the row and value counts over every checked batch.
+    ``total`` sums the row and value counts over every batch
+    :meth:`check` counted; :meth:`screen` checks a batch without
+    counting it there (a stream's reads, which no history report holds).
     Its ``issues`` list stays empty — the strings live only on each
     batch's own report — so a long-lived guard does not grow.
     """
@@ -183,15 +185,33 @@ class InputGuard:
 
         ``y`` may be omitted for inference-only batches.  Copies are made
         only when a repair or drop actually happens, and per-row masks
-        only for a batch that fails the one whole-batch value test.
+        only for a batch that fails the one whole-batch value test.  The
+        batch's counts are added to :attr:`total`.
         """
+        return self._check(X, y, count=True)
+
+    def screen(
+        self, X: ArrayLike, y: ArrayLike | None = None
+    ) -> tuple[FloatArray, FloatArray | None, GuardReport]:
+        """:meth:`check` one batch without adding it to :attr:`total`.
+
+        Every policy, the gate and the ``reghd_guard_*`` metrics apply as
+        in :meth:`check`; a stream screens its reads this way.
+        """
+        return self._check(X, y, count=False)
+
+    def _check(
+        self, X: ArrayLike, y: ArrayLike | None, *, count: bool
+    ) -> tuple[FloatArray, FloatArray | None, GuardReport]:
         X_arr = self._as_float_2d(X)
         n_rows = len(X_arr)
         y_arr = None if y is None else self._as_float_1d(y, n_rows)
         report = GuardReport(n_rows_in=n_rows, n_rows_out=n_rows)
         if self._admits(X_arr, y_arr):
             # One test for the whole batch found nothing to mask.
-            return self._finish(X_arr, y_arr, report, repaired=False)
+            return self._finish(
+                X_arr, y_arr, report, repaired=False, count=count
+            )
 
         bad_X = ~np.isfinite(X_arr)
         if self.value_range is not None:
@@ -245,6 +265,7 @@ class InputGuard:
         return self._finish(
             X_arr, y_arr, report,
             repaired=self.policy is GuardPolicy.REPAIR,
+            count=count,
         )
 
     def _admits(self, X: FloatArray, y: FloatArray | None) -> bool:
@@ -266,9 +287,10 @@ class InputGuard:
         report: GuardReport,
         *,
         repaired: bool,
+        count: bool = True,
     ) -> tuple[FloatArray, FloatArray | None, GuardReport]:
-        """Gate the value-clean rows (``mahalanobis``), then count and
-        report the batch."""
+        """Gate the value-clean rows (``mahalanobis``), then report the
+        batch, and add it to :attr:`total` when ``count``."""
         # Statistical gating runs on the value-clean survivors: finite
         # rows whose leverage / residual score falls outside the gate's
         # chi-square envelope are removed as distributional outliers.
@@ -284,7 +306,8 @@ class InputGuard:
                 )
 
         report.n_rows_out = len(X_arr)
-        self.accumulate(report)
+        if count:
+            self.accumulate(report)
         if repaired:
             outcome = "repaired"
         elif report.n_gated_rows:

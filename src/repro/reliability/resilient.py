@@ -296,9 +296,14 @@ class ResilientStreamingRegHD(StreamingRegHD):
 
     def predict(self, X: ArrayLike) -> FloatArray:
         """Predict through the guard (repair/raise apply; under ``drop``
-        the returned predictions correspond to the surviving rows)."""
+        the returned predictions correspond to the surviving rows).
+
+        A read is screened but not counted into ``guard.total``, which
+        covers exactly the batches :meth:`update` screens (the history's
+        guard reports); the gate's ``n_gated`` and the guard metrics
+        still count it."""
         if self.guard is not None:
-            X, _, _ = self.guard.check(X)
+            X, _, _ = self.guard.screen(X)
         return super().predict(X)
 
     # -- checkpointing / recovery ------------------------------------------

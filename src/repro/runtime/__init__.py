@@ -14,10 +14,12 @@ package is that single routing point:
   :func:`resolve_backend` from an explicit name, ``RegHDConfig.backend``,
   or ``REPRO_BACKEND``;
 * :class:`Query` — one encoded float batch plus its lazily derived,
-  reusable packed words and scales (no other float matrix);
+  reusable packed words and scales (no other float matrix), and its
+  one kept sign-product pass against a plan's stacked sign words;
 * :mod:`repro.runtime.operands` — model-side operands: live training
   views over the dual copies, and the frozen copy-on-write snapshots
-  compiled serving plans are built and refreshed from;
+  compiled serving plans are built and refreshed from (a fully packed
+  plan stacks its cluster and model sign words in one array);
 * :mod:`repro.runtime.packing` — the bit-packing primitives themselves.
 
 The training hot loops (:mod:`repro.core`), the compiled inference engine
@@ -59,6 +61,7 @@ from repro.runtime.operands import (
     freeze_cluster_operand,
     freeze_model_operand,
     frozen_copy,
+    stack_sign_words,
 )
 from repro.runtime.base import (
     BACKEND_ENV_VAR,
@@ -99,6 +102,7 @@ __all__ = [
     "freeze_cluster_operand",
     "freeze_model_operand",
     "frozen_copy",
+    "stack_sign_words",
     "kernels",
     "pack_bits",
     "pack_sign_words",

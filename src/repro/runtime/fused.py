@@ -11,10 +11,10 @@ so the intermediate float encoding never exists beyond a
 
 Two things make the fused path faster than encode-then-pack:
 
-* **single-trig encode** — Eq. (1) is ``cos(p + φ) · sin(p)`` with
+* **single-trig encode** — Eq. (1) is ``H = cos(p + φ) · sin(p)`` with
   ``p = (X @ B) · scale``.  The product-to-sum identity
 
-      ``cos(p + φ) · sin(p) = ½ · (sin(2p + φ) − sin(φ))``
+      ``2H = 2 · cos(p + φ) · sin(p) = sin(2p + φ) − sin(φ)``
 
   needs *one* transcendental evaluation per element instead of two
   (``sin(φ)`` is precomputed per plan).  Trig dominates serving time at
@@ -22,6 +22,11 @@ Two things make the fused path faster than encode-then-pack:
   is exact in real arithmetic; in floats the two forms agree to a few
   ulps, which leaves the sign bits — all the packed kernels consume —
   identical in practice and the scale reductions equal to rounding.
+  The pipeline keeps ``2H`` and never halves it: doubling is exact, so
+  ``2H`` has the sign bits of ``H``, and ``Σ|2H|``, ``‖2H‖`` and the
+  norm floor ``2·eps`` are exactly twice ``Σ|H|``, ``‖H‖`` and ``eps``;
+  the factors cancel in ``(Σ|2H|/D) / max(‖2H‖, 2·eps)``, which equals
+  the scale of ``H`` bit for bit, the all-zero row included.
 * **blocked reductions** — the squared-sum / absolute-sum accumulators
   and the sign-bit packing consume each block while it is cache-hot,
   instead of re-streaming a multi-megabyte tile once per derivation.
@@ -34,11 +39,14 @@ widest block whose ``(tile_rows, block)`` slab fits 32 768 elements
 per-block numpy dispatch once; tiles of 31 rows or more keep
 1024-column blocks.  :func:`set_fused_block_cols` pins the width, and the
 width in use is exported as the ``reghd_fused_block_cols`` telemetry
-gauge.
+gauge.  The layout is part of the output contract, not only a speed
+setting: the scales sum each row block by block, so the block
+boundaries fix their summation order and with it their last bits.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -74,8 +82,10 @@ def set_fused_block_cols(cols: int | None) -> None:
         raise ValueError(f"block width must be >= 1, got {cols}")
     global _fused_block_cols
     _fused_block_cols = None if cols is None else -(-int(cols) // 64) * 64
+    fused_block_cols.cache_clear()
 
 
+@functools.lru_cache(maxsize=None)
 def fused_block_cols(dim: int, rows: int | None = None) -> int:
     """Column block width for a fused encode of ``rows`` rows over ``dim``.
 
@@ -83,7 +93,8 @@ def fused_block_cols(dim: int, rows: int | None = None) -> int:
     word boundaries), never wider than the padded ``dim``.  A pinned
     width is used as given.  Otherwise it is the widest width whose
     ``(rows, width)`` slab fits :data:`_SLAB_ELEMENTS`, but never narrower
-    than 1024 columns; ``rows=None`` asks for a tall tile's width.
+    than 1024 columns; ``rows=None`` asks for a tall tile's width.  The
+    width is derived once per ``(dim, rows)`` and pin.
     """
     padded = -(-int(dim) // 64) * 64
     cols = _fused_block_cols
@@ -113,32 +124,35 @@ class FusedScratch:
     """Preallocated buffers for one call's fused encode→pack tiles.
 
     Only the buffers the block layout uses are allocated: one float slab
-    whose two rows hold a column block of the encoding ``H`` (then
-    ``|H|``) and of ``H²``, one ``(2, tile_rows)`` slab of row sums that
-    a single reduction per block fills from it, the sign bits, and the
-    packed output words.  When one block spans a D that is a multiple of
-    64, ``np.packbits``' output viewed as ``uint64`` already is the
-    words, so ``words`` is ``None``.
+    whose two rows hold a column block of the encoding ``2H`` (then
+    ``|2H|``) and of ``(2H)²``, one ``(2, tile_rows)`` slab of row sums
+    that a single reduction per block fills from it, the sign bits, and
+    the packed output words.  When one block spans a D that is a
+    multiple of 64, ``np.packbits``' output viewed as ``uint64`` already
+    is the words, so ``words`` is ``None``.
     """
 
+    __slots__ = (
+        "tile_rows", "dim", "block_cols", "floats", "bits", "sums", "words",
+    )
+
     def __init__(self, tile_rows: int, dim: int):
-        self.tile_rows = int(tile_rows)
-        self.dim = int(dim)
-        self.block_cols = fused_block_cols(dim, self.tile_rows)
-        self.n_words = -(-self.dim // 64)
-        slab = self.tile_rows * self.block_cols
-        #: ``H`` (then ``|H|``) and ``H²`` of one column block
+        self.tile_rows = tile_rows = int(tile_rows)
+        self.dim = dim = int(dim)
+        self.block_cols = cols = fused_block_cols(dim, tile_rows)
+        slab = tile_rows * cols
+        #: ``2H`` (then ``|2H|``) and ``(2H)²`` of one column block
         self.floats = np.empty((2, slab), dtype=np.float64)
         #: sign bits of one column block, feeding the packer
         self.bits = np.empty(slab, dtype=np.bool_)
-        #: per-row ``Σ|H|`` and ``‖H‖²``, accumulated over the blocks
-        self.sums = np.empty((2, self.tile_rows), dtype=np.float64)
+        #: per-row ``Σ|2H|`` and ``‖2H‖²``, accumulated over the blocks
+        self.sums = np.empty((2, tile_rows), dtype=np.float64)
         #: packed output words for a full tile, unless one block's
         #: ``packbits`` output is the words already
         self.words = (
             None
-            if self.block_cols == self.dim
-            else np.empty((self.tile_rows, self.n_words), dtype=np.uint64)
+            if cols == dim
+            else np.empty((tile_rows, -(-dim // 64)), dtype=np.uint64)
         )
 
     @property
@@ -158,45 +172,48 @@ def encode_pack_tile(
     """Raw feature rows → packed sign words + binary-query scales.
 
     Returns ``(words, scales)`` where ``words`` is the ``(t, ceil(D/64))``
-    uint64 sign packing of the Eq.-(1) encoding (bit 1 where the encoded
-    value is ``>= 0``, padding bits zero — the :func:`pack_sign_words`
-    convention) and ``scales`` is the per-row binarisation scale of the
-    normalised queries, ``mean(|H|) / max(‖H‖, eps)``.  ``scales`` is a
-    view into ``scratch`` valid until its next use; so is ``words``,
-    except when one block spans a D that is a multiple of 64, where it
-    is ``np.packbits``' own output viewed as uint64.
+    uint64 sign packing of the Eq.-(1) encoding ``H`` (bit 1 where the
+    encoded value is ``>= 0``, padding bits zero — the
+    :func:`pack_sign_words` convention) and ``scales`` is the per-row
+    binarisation scale of the normalised queries,
+    ``mean(|H|) / max(‖H‖, eps)``.  ``scales`` is a view into ``scratch``
+    valid until its next use; so is ``words``, except when one block
+    spans a D that is a multiple of 64, where it is ``np.packbits``' own
+    output viewed as uint64.
 
-    The full float encoding is never materialised: each column block is
-    encoded with the single-trig identity, packed, and reduced into the
-    norm/scale accumulators while cache-resident.
+    The full float encoding is never materialised: each column block of
+    ``2H`` is encoded with the single-trig identity, packed, and reduced
+    into the norm/scale accumulators while cache-resident.  ``2H`` has
+    the sign bits of ``H``, and its scale ``(Σ|2H|/D) / max(‖2H‖,
+    2·eps)`` equals that of ``H`` bit for bit (see the module notes).
     """
-    t, dim = X.shape[0], scratch.dim
-    bc = scratch.block_cols
+    t = X.shape[0]
+    dim, bc = scratch.dim, scratch.block_cols
     registry = _metrics.active()
     if registry is not None:
         registry.gauge("reghd_fused_block_cols").set(bc)
+    bases, phases, scale, sin_phases = enc
+    two_scale = 2.0 * scale
     words = scratch.words
     if words is not None:
         words = words[:t]
         words_u8 = words.view(np.uint8)
     sums = scratch.sums[:, :t]
-    two_scale = 2.0 * enc.scale
     for d0 in range(0, dim, bc):
-        d1 = min(d0 + bc, dim)
-        w = d1 - d0
+        cols = slice(d0, d0 + bc)
+        w = min(bc, dim - d0)
         # The slab's two rows as contiguous (t, w) blocks — np.dot
         # requires a C-contiguous output array.
         block = scratch.floats[:, : t * w].reshape(2, t, w)
         pb = block[0]
-        # H = ½(sin(2p + φ) − sin φ) with p = (X @ B) · scale: one trig
+        # 2H = sin(2p + φ) − sin φ with p = (X @ B) · scale: one trig
         # call per element in place of the cos·sin product.
-        np.dot(X, enc.bases[:, d0:d1], out=pb)
+        np.dot(X, bases[:, cols], out=pb)
         np.multiply(pb, two_scale, out=pb)
-        np.add(pb, enc.phases[d0:d1], out=pb)
+        np.add(pb, phases[cols], out=pb)
         np.sin(pb, out=pb)
-        np.subtract(pb, enc.sin_phases[d0:d1], out=pb)
-        np.multiply(pb, 0.5, out=pb)
-        # H² into the slab's second row, before |H| overwrites H.
+        np.subtract(pb, sin_phases[cols], out=pb)
+        # (2H)² into the slab's second row, before |2H| overwrites 2H.
         np.multiply(pb, pb, out=block[1])
         # Sign bits → packed bytes; block starts are multiples of 64, so
         # per-block packbits output lands on whole-byte offsets.
@@ -206,7 +223,7 @@ def encode_pack_tile(
             words = packed.view(np.uint64)
         else:
             words_u8[:, d0 // 8 : d0 // 8 + packed.shape[1]] = packed
-        # Σ|H| and ‖H‖² in one reduction over both rows while the block
+        # Σ|2H| and ‖2H‖² in one reduction over both rows while the block
         # is hot.  The first block reduces straight into the accumulators
         # (both sums are >= +0.0, so this equals adding them to zeros).
         np.abs(pb, out=pb)
@@ -221,7 +238,7 @@ def encode_pack_tile(
         if used_bytes < words_u8.shape[1]:
             words_u8[:, used_bytes:] = 0
     norms = np.sqrt(sums[1], out=sums[1])
-    np.maximum(norms, norm_eps, out=norms)
+    np.maximum(norms, 2.0 * norm_eps, out=norms)
     scales = np.divide(sums[0], float(dim), out=sums[0])
     np.divide(scales, norms, out=scales)
     return words, scales

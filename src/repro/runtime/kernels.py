@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ops.normalize import block_rows, softmax
-from repro.runtime.packing import packed_sign_products
 from repro.types import FloatArray
 
 #: floor applied to cluster norms so untrained (all-zero) clusters yield
@@ -72,16 +71,16 @@ def row_tiled_sign_similarities(
     return np.divide(out, float(dim), out=out)
 
 
-def hamming_similarities(
-    query_words: np.ndarray, cluster_words: np.ndarray, dim: int
-) -> FloatArray:
-    """The sign matmul executed as XOR + popcount over packed uint64 words.
+def product_similarities(products: FloatArray, dim: int) -> FloatArray:
+    """The sign similarity from ±1 sign products, into a new array.
 
-    Bit-exact against :func:`sign_similarities` on the same sign patterns
-    (the products are integers; the single division is identical).
+    ``products`` are the XOR + popcount products of packed uint64 words
+    (:meth:`~repro.runtime.Query.sign_products`, possibly a view of a
+    pass the query keeps, so it is only read).  Bit-exact against
+    :func:`sign_similarities` on the same sign patterns (the products are
+    integers; the single division is identical).
     """
-    products = packed_sign_products(query_words, cluster_words, dim)
-    return np.divide(products, float(dim), out=products)
+    return np.divide(products, float(dim))
 
 
 # -- confidences (Fig. 4) --------------------------------------------------
@@ -142,22 +141,18 @@ def dense_dots(queries: FloatArray, model_matT: FloatArray) -> FloatArray:
     return queries @ model_matT
 
 
-def packed_scaled_dots(
-    query_words: np.ndarray,
-    model_words: np.ndarray,
-    query_scales: FloatArray,
-    model_scales: FloatArray,
-    dim: int,
+def binary_dots(
+    products: FloatArray, query_scales: FloatArray, model_scales: FloatArray
 ) -> FloatArray:
-    """Fully-binary dot products as XOR + popcount with output-stage scales.
+    """Fully-binary dot products from ±1 sign products, into a new array.
 
     ``(q_sign * q_scale) . (m_sign * m_scale)`` factors into the integer
     sign product times both per-row scales — the multiply the output
-    stage of a binary accelerator folds in.
+    stage of a binary accelerator folds in.  ``products`` is only read,
+    as in :func:`product_similarities`.
     """
-    products = packed_sign_products(query_words, model_words, dim)
-    np.multiply(products, query_scales[:, np.newaxis], out=products)
-    return np.multiply(products, model_scales, out=products)
+    dots = np.multiply(products, query_scales[:, np.newaxis])
+    return np.multiply(dots, model_scales, out=dots)
 
 
 def linear_dots(S: FloatArray, weights: FloatArray) -> FloatArray:

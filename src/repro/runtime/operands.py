@@ -22,6 +22,12 @@ Two flavours exist:
   whose source did not move and re-packs **only** the rows whose sign
   version moved, so streaming serves from a cheap succession of plans
   instead of recompiling after every online batch.
+
+A plan whose cluster search and model dots both run on packed words
+keeps the two operands' sign words as the two row ranges of one
+read-only ``(2k, W)`` array (:func:`stack_sign_words`), so each tile's
+query makes one XOR-popcount pass against it
+(:meth:`~repro.runtime.Query.sign_products`).
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ def cluster_norms(dual: DualCopy) -> FloatArray:
 class ClusterOperand:
     """Live view of the cluster hypervectors for the training hot loop."""
 
+    #: live operands pack their words alone, never into a plan's stack
+    stack = None
+
     def __init__(self, dual: DualCopy, quant: ClusterQuant):
         self.dual = dual
         self.quant = quant
@@ -93,6 +102,8 @@ class ClusterOperand:
 
 class ModelOperand:
     """Live view of the model hypervectors for the training hot loop."""
+
+    stack = None
 
     def __init__(self, dual: DualCopy, quant: PredictQuant):
         self.dual = dual
@@ -138,11 +149,14 @@ class FrozenClusterOperand:
 
     ``version`` / ``sign_versions`` record the :class:`DualCopy` state the
     arrays were taken from, so the next snapshot knows which it may share.
+    ``stack`` / ``stack_rows``: the plan's stacked sign words and the
+    rows of it that ``words`` is, when :func:`stack_sign_words` stacked
+    them; else ``None``.
     """
 
     __slots__ = (
         "quant", "dim", "version", "sign_versions",
-        "matT", "norms", "signsT", "words",
+        "matT", "norms", "signsT", "words", "stack", "stack_rows",
     )
 
     def __init__(
@@ -165,6 +179,8 @@ class FrozenClusterOperand:
         self.norms = norms
         self.signsT = signsT
         self.words = words
+        self.stack: np.ndarray | None = None
+        self.stack_rows: slice | None = None
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -177,11 +193,13 @@ class FrozenClusterOperand:
 class FrozenModelOperand:
     """Read-only model operands snapshotted into a compiled plan.
 
-    Records its source versions as :class:`FrozenClusterOperand` does.
+    Records its source versions, and its place in a stack, as
+    :class:`FrozenClusterOperand` does.
     """
 
     __slots__ = (
         "quant", "dim", "version", "sign_versions", "matT", "words", "scales",
+        "stack", "stack_rows",
     )
 
     def __init__(
@@ -202,6 +220,8 @@ class FrozenModelOperand:
         self.matT = matT
         self.words = words
         self.scales = scales
+        self.stack: np.ndarray | None = None
+        self.stack_rows: slice | None = None
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -318,3 +338,33 @@ def freeze_model_operand(
         taken = k if moved else 0
     op = FrozenModelOperand(quant, dim, dual.version, sign_versions, **arrays)
     return op, taken
+
+
+def stack_sign_words(
+    cluster_op: FrozenClusterOperand,
+    model_op: FrozenModelOperand,
+    previous: np.ndarray | None = None,
+) -> None:
+    """Put the packed sign words of one plan's two fresh operands into one
+    read-only ``(2k, W)`` array: cluster rows first, then model rows.
+
+    Each operand's ``words`` becomes its row range of the array, which
+    ``stack`` and ``stack_rows`` record.  ``previous`` is the stack of
+    the plan being refreshed: when neither operand re-packed a row (both
+    still hold their previous words, views of that stack), the stack and
+    the views are shared; otherwise the rows are copied into a new
+    array.  No stack is written once built.
+    """
+    shared = previous is not None and all(
+        op.words.base is previous for op in (cluster_op, model_op)
+    )
+    if shared:
+        stack = previous
+    else:
+        stack = np.concatenate((cluster_op.words, model_op.words))
+        stack.flags.writeable = False
+    k = len(cluster_op.words)
+    for op, rows in ((cluster_op, slice(0, k)), (model_op, slice(k, None))):
+        if not shared:
+            op.words = stack[rows]
+        op.stack, op.stack_rows = stack, rows

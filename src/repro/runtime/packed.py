@@ -9,6 +9,12 @@ products are small integers), so quantised-search training on packed
 words reproduces the dense trajectory exactly; only the fully-binary
 dots differ, by float rounding in the scale multiplication order.
 
+Both kernels read their sign products from
+:meth:`~repro.runtime.Query.sign_products`: against a compiled plan
+whose cluster and model sign words are stacked, a tile's query makes
+one XOR-popcount pass that the search and the dots each read their own
+columns of.
+
 Everything not expressible over sign bits (full-precision cosine
 similarities, integer-operand dots, the update arithmetic that must hit
 the integer shadow copies exactly) falls through to the inherited dense
@@ -38,18 +44,14 @@ class PackedBackend(KernelBackend):
 
     def cluster_similarities(self, query, clusters) -> FloatArray:
         if self.packs_similarities(clusters.quant):
-            return kernels.hamming_similarities(
-                query.words, clusters.words, clusters.dim
+            return kernels.product_similarities(
+                query.sign_products(clusters), clusters.dim
             )
         return super().cluster_similarities(query, clusters)
 
     def model_dots(self, query, models) -> FloatArray:
         if self.packs_dots(models.quant):
-            return kernels.packed_scaled_dots(
-                query.words,
-                models.words,
-                query.scales,
-                models.scales,
-                models.dim,
+            return kernels.binary_dots(
+                query.sign_products(models), query.scales, models.scales
             )
         return super().model_dots(query, models)

@@ -14,6 +14,11 @@ mini-batch's sign buffer (:meth:`Query.slice` with ``signs=``) — and a
 dense kernel that finds none derives them per row tile, or into
 transient rows the query does not keep (:meth:`Query.binarized_rows`).
 
+A query's packed sign products against a compiled plan's stacked
+sign words (:meth:`Query.sign_products`) are kept too: the plan's
+cluster search and model dots read their own columns of one
+XOR-popcount pass, one pass per serving tile.
+
 The same reuse spans a whole training run: ``fit`` and ``partial_fit``
 encode each set of rows into one query, every mini-batch of every epoch
 is a :meth:`Query.slice` of it, and an estimator derives the words and
@@ -25,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime import kernels
-from repro.runtime.packing import pack_sign_words
+from repro.runtime.packing import pack_sign_words, packed_sign_products
 from repro.types import FloatArray
 
 
@@ -47,7 +52,10 @@ class Query:
         derived on first read and cached.
     """
 
-    __slots__ = ("S", "signs", "binarized", "scratch", "_words", "_scales")
+    __slots__ = (
+        "S", "signs", "binarized", "scratch", "_words", "_scales",
+        "_against", "_products",
+    )
 
     def __init__(
         self,
@@ -66,6 +74,9 @@ class Query:
         self.scratch: ScratchRows | None = None
         self._words = words
         self._scales = scales
+        #: the stacked sign words :attr:`_products` were taken against
+        self._against: np.ndarray | None = None
+        self._products: FloatArray | None = None
 
     def _require_S(self, derived: str) -> FloatArray:
         if self.S is None:
@@ -87,6 +98,28 @@ class Query:
         if self._scales is None:
             self._scales = kernels.row_scales(self._require_S("scales"))
         return self._scales
+
+    def sign_products(self, operand) -> FloatArray:
+        """±1 sign products ``D − 2·hamming`` of these queries against the
+        packed sign rows of a cluster or model ``operand``: exact integers
+        in float64, one column per operand row.
+
+        An operand whose words are a row range of a plan's stacked sign
+        words (``operand.stack``, see
+        :func:`~repro.runtime.operands.stack_sign_words`) gets its
+        columns of one XOR-popcount pass against the whole stack, which
+        the query keeps, so the plan's other operand reads its columns of
+        the same pass.  Any other operand gets a pass of its own that the
+        query does not keep.  The result may be a view of kept products:
+        read it, never write it.
+        """
+        stack = operand.stack
+        if stack is None:
+            return packed_sign_products(self.words, operand.words, operand.dim)
+        if self._against is not stack:
+            self._products = packed_sign_products(self.words, stack, operand.dim)
+            self._against = stack
+        return self._products[:, operand.stack_rows]
 
     def binarized_rows(self) -> FloatArray:
         """Scale-preserving binarised queries, ``sign(S) * mean(|S|)``.

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.config import RegHDConfig
 from repro.core.multi import MultiModelRegHD
 from repro.encoding.base import Encoder
-from repro.exceptions import ConfigurationError, NotFittedError
+from repro.exceptions import ConfigurationError
 from repro.metrics import mean_squared_error
 from repro.robust.conformal import AdaptiveConformal, PredictionInterval
 from repro.telemetry import metrics as _metrics

@@ -278,6 +278,31 @@ class TestResilientPipeline:
         assert report.skipped
         assert stream._batch_counter == 1  # nothing was learned
 
+    def test_reads_are_screened_but_leave_guard_totals_to_updates(self):
+        """``guard.total`` covers exactly the batches ``update`` screened,
+        the history's guard reports: a read with a 50x outlier row is
+        gated, and counted by the gate, but adds nothing to the totals."""
+        stream = ResilientStreamingRegHD(
+            4, RegHDConfig(dim=64, n_models=4, seed=0), guard="mahalanobis"
+        )
+        for X, y in make_batches(30, batch=32):
+            stream.update(X, y)
+        gated = stream.guard.gate.n_gated
+        X = np.random.default_rng(1).normal(size=(8, 4))
+        X[3] *= 50.0
+        assert len(stream.predict(X)) == 7
+        assert stream.guard.gate.n_gated == gated + 1
+        reports = [r.guard for r in stream.history.reports]
+        assert len(reports) == 30
+        total = stream.guard.total
+        for field in (
+            "n_rows_in", "n_rows_out", "n_gated_rows",
+            "n_dropped_rows", "n_repaired_values",
+        ):
+            assert getattr(total, field) == sum(
+                getattr(r, field) for r in reports
+            ), field
+
     def test_repair_guard_keeps_stream_finite(self):
         stream = ResilientStreamingRegHD(4, CONFIG, guard="repair")
         rng = np.random.default_rng(0)

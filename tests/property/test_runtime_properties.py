@@ -28,10 +28,11 @@ from repro.runtime import (
     ModelOperand,
     Query,
     pack_sign_words,
+    packed_sign_products,
 )
 from repro.runtime.kernels import (
-    hamming_similarities,
-    packed_scaled_dots,
+    binary_dots,
+    product_similarities,
     segment_sum,
     sign_rows,
     sign_similarities,
@@ -69,8 +70,9 @@ class TestPackedKernelExactness:
         dense = sign_similarities(
             np.where(A >= 0, 1.0, -1.0), signs_b.T, dim
         )
-        packed = hamming_similarities(
-            pack_sign_words(A), pack_sign_words(B), dim
+        packed = product_similarities(
+            packed_sign_products(pack_sign_words(A), pack_sign_words(B), dim),
+            dim,
         )
         np.testing.assert_array_equal(packed, dense)
 
@@ -87,12 +89,10 @@ class TestPackedKernelExactness:
         Q = rng.normal(size=(n, dim))
         M = rng.normal(size=(k, dim))
         dense = binarize_preserving_scale(Q) @ binarize_preserving_scale(M).T
-        packed = packed_scaled_dots(
-            pack_sign_words(Q),
-            pack_sign_words(M),
+        packed = binary_dots(
+            packed_sign_products(pack_sign_words(Q), pack_sign_words(M), dim),
             np.mean(np.abs(Q), axis=1),
             np.mean(np.abs(M), axis=1),
-            dim,
         )
         # atol covers true-zero products: the packed path yields exact 0
         # while the dense accumulation leaves ~1e-15 rounding residue.
@@ -379,6 +379,44 @@ class TestFusedEncodePack:
         if dim % 64:
             assert not (words[:, -1] >> np.uint64(dim % 64)).any()
 
+    @pytest.mark.parametrize("dim", [64, 4000, 4096])
+    @pytest.mark.parametrize("n", [1, 8, 9, 31])
+    def test_doubled_encoding_equals_the_halving_formula(self, n, dim):
+        """The pipeline keeps ``2H`` and floors its norm at ``2·eps``: its
+        words and scales equal, bit for bit, those of the formula that
+        halved each block to ``H`` and floored at ``eps``, in the same
+        column blocks.  The last row is all-zero features, whose
+        encoding is zero and whose scale comes off the norm floor."""
+        from repro.runtime import FusedScratch, encode_pack_tile
+
+        operands, X = self._operands_and_rows(n, 6, dim)
+        X[-1] = 0.0
+        scratch = FusedScratch(n, dim)
+        words, scales = encode_pack_tile(X, operands, scratch)
+        ref_words, ref_scales = _halving_encode_pack(
+            X, operands, scratch.block_cols
+        )
+        assert np.array_equal(words, ref_words)
+        assert np.array_equal(scales, ref_scales)
+        assert scales[-1] == 0.0
+
+    @staticmethod
+    def _operands_and_rows(n, features, dim):
+        """A nonlinear encoder's fused operands and ``n`` feature rows,
+        both seeded by ``n``."""
+        from repro.encoding.nonlinear import NonlinearEncoder
+        from repro.runtime import EncoderOperands
+
+        enc = NonlinearEncoder(features, dim, n + 1)
+        operands = EncoderOperands(
+            np.asarray(enc.bases),
+            np.asarray(enc.phases),
+            float(enc.scale),
+            np.sin(enc.phases),
+        )
+        X = np.random.default_rng(n).normal(size=(n, features))
+        return operands, X
+
     @staticmethod
     def _check_against_unfused(seed, n, features, dim):
         from repro.encoding.nonlinear import NonlinearEncoder
@@ -402,3 +440,29 @@ class TestFusedEncodePack:
             scales, np.mean(np.abs(S), axis=1) / norms, rtol=1e-12
         )
         return words, scratch
+
+
+def _halving_encode_pack(X, enc, block_cols, norm_eps=1e-12):
+    """The fused encode→pack as it stood with its ``× 0.5`` pass: each
+    column block of ``H = ½(sin(2p + φ) − sin φ)`` is packed and reduced
+    into ``Σ|H|`` and ``‖H‖²`` in one ``(2, t, w)`` reduction, and the
+    scale is ``(Σ|H|/D) / max(‖H‖, eps)``."""
+    t, dim = X.shape[0], enc.bases.shape[1]
+    sums = np.zeros((2, t))
+    signs = np.empty((t, dim))
+    for d0 in range(0, dim, block_cols):
+        d1 = min(d0 + block_cols, dim)
+        block = np.empty((2, t, d1 - d0))
+        H = block[0]
+        np.dot(X, enc.bases[:, d0:d1], out=H)
+        np.multiply(H, 2.0 * enc.scale, out=H)
+        np.add(H, enc.phases[d0:d1], out=H)
+        np.sin(H, out=H)
+        np.subtract(H, enc.sin_phases[d0:d1], out=H)
+        np.multiply(H, 0.5, out=H)
+        np.multiply(H, H, out=block[1])
+        signs[:, d0:d1] = H
+        np.abs(H, out=H)
+        sums += np.add.reduce(block, axis=2)
+    norms = np.maximum(np.sqrt(sums[1]), norm_eps)
+    return pack_sign_words(signs), sums[0] / float(dim) / norms

@@ -8,7 +8,6 @@ from repro.datasets import (
     SPECS,
     Dataset,
     available_datasets,
-    build_surrogate,
     friedman1,
     friedman2,
     friedman3,

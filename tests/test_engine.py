@@ -207,6 +207,96 @@ class TestTileScratch:
         assert scratch.nbytes == 25_182_144
 
 
+def _count_hamming_passes(monkeypatch) -> list[int]:
+    """Record the operand rows of every XOR-popcount pass from now on."""
+    from repro.runtime import packing
+
+    passes = []
+    inner = packing._pairwise_popcount_xor
+
+    def counted(a_words, b_words):
+        passes.append(len(b_words))
+        return inner(a_words, b_words)
+
+    monkeypatch.setattr(packing, "_pairwise_popcount_xor", counted)
+    return passes
+
+
+class TestOnePassTile:
+    """A plan whose search and dots both run on packed words answers both
+    stages of a tile from one XOR-popcount pass against its stacked
+    cluster and model sign rows."""
+
+    @pytest.mark.parametrize("tile_rows", [1, 7])
+    def test_fused_tile_makes_one_pass(self, monkeypatch, tile_rows):
+        plan = _fitted().compile(backend="packed_v2", tile_rows=tile_rows)
+        assert plan.fused_encode
+        X, _ = _task(seed=4, n=15)
+        passes = _count_hamming_passes(monkeypatch)
+        plan.predict(X)
+        assert passes == [2 * plan.n_models] * -(-15 // tile_rows)
+
+    @pytest.mark.parametrize("cq", [ClusterQuant.FRAMEWORK, ClusterQuant.NAIVE])
+    def test_opaque_encoder_tile_makes_one_pass(self, monkeypatch, cq):
+        from repro.encoding.projection import RandomProjectionEncoder
+
+        X, y = _task()
+        model = MultiModelRegHD(
+            5,
+            RegHDConfig(
+                dim=128,
+                n_models=4,
+                seed=0,
+                convergence=CONV,
+                cluster_quant=cq,
+                predict_quant=PredictQuant.BINARY_BOTH,
+            ),
+            encoder=RandomProjectionEncoder(5, 128, seed=0),
+        ).fit(X, y)
+        plan = model.compile(backend="packed_v2", tile_rows=7)
+        assert plan.packed_sims and plan.packed_dots and not plan.fused_encode
+        passes = _count_hamming_passes(monkeypatch)
+        out = plan.predict(X[:15])
+        assert passes == [2 * plan.n_models] * 3
+        np.testing.assert_allclose(
+            out, model.predict(X[:15]), rtol=1e-9, atol=1e-10
+        )
+
+    @pytest.mark.usefixtures("auto_backend")
+    def test_refresh_stacks_into_a_new_read_only_array(self):
+        """A refresh that re-packs a row builds a new read-only stack and
+        leaves the old plan's stack byte for byte as it was; one that
+        re-packs nothing shares the stack and both word views."""
+        model = _fitted()
+        plan = model.compile()
+        stack = plan.cluster_op.stack
+        k = plan.n_models
+        assert stack.shape == (2 * k, -(-plan.dim // 64))
+        assert plan.model_op.stack is stack and not stack.flags.writeable
+        np.testing.assert_array_equal(stack[:k], plan.cluster_op.words)
+        np.testing.assert_array_equal(stack[k:], plan.model_op.words)
+        before = stack.copy()
+
+        same = plan.refresh(model)
+        assert same.cluster_op.stack is stack and same.model_op.stack is stack
+        assert same.cluster_op.words is plan.cluster_op.words
+        assert same.model_op.words is plan.model_op.words
+
+        X, y = _task(seed=9)
+        model.partial_fit(X, y)
+        model.models.rebinarize()
+        new = plan.refresh(model)
+        assert new.refresh_stats["rows_refreshed"] > 0
+        fresh = new.cluster_op.stack
+        assert fresh is not stack and new.model_op.stack is fresh
+        assert not fresh.flags.writeable
+        assert not new.cluster_op.words.flags.writeable
+        np.testing.assert_array_equal(
+            fresh, np.concatenate((new.cluster_op.words, new.model_op.words))
+        )
+        assert stack.tobytes() == before.tobytes()
+
+
 class TestConcurrentCallers:
     @pytest.mark.parametrize(
         "backend",
