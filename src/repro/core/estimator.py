@@ -52,6 +52,7 @@ from repro.utils.validation import (
     check_1d,
     check_2d,
     check_matching_lengths,
+    check_nonempty,
     check_optional_pair,
 )
 
@@ -656,7 +657,10 @@ class BaseRegHDEstimator(BaseEstimator):
         """One online pass over ``(X, y)`` without resetting the model.
 
         Target scaling is frozen after the first call (estimated from the
-        first batch), making this suitable for streaming workloads.
+        first batch), making this suitable for streaming workloads.  A
+        batch of zero rows raises :class:`~repro.exceptions.DimensionalityError`
+        before any state changes, as ``fit`` does: a scaler frozen on no
+        targets would read NaN for the rest of the stream.
 
         ``encoded`` is an optional :class:`~repro.runtime.Query` over the
         already encoded and row-normalised ``X`` (shape ``(len(X), D)``),
@@ -670,6 +674,7 @@ class BaseRegHDEstimator(BaseEstimator):
         X_arr = check_2d("X", X)
         y_arr = check_1d("y", y)
         check_matching_lengths("X", X_arr, "y", y_arr)
+        check_nonempty("X", X_arr)
         if encoded is None:
             encoded = self._encode_query(X_arr)
         else:

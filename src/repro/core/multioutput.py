@@ -36,6 +36,7 @@ from repro.utils.rng import derive_generator
 from repro.utils.validation import (
     check_2d,
     check_matching_lengths,
+    check_nonempty,
     check_optional_pair,
 )
 
@@ -163,9 +164,12 @@ class MultiOutputRegHD(BaseEstimator):
         return self
 
     def partial_fit(self, X: ArrayLike, Y: ArrayLike) -> "MultiOutputRegHD":
-        """One online pass for every head over one shared encoding."""
+        """One online pass for every head over one shared encoding; zero
+        rows raise :class:`~repro.exceptions.DimensionalityError` before
+        any head changes."""
         X_arr = check_2d("X", X)
         Y_arr = self._validate_targets(X_arr, Y)
+        check_nonempty("X", X_arr)
         query = self.heads[0]._encode_query(X_arr)
         for output, head in enumerate(self.heads):
             head.partial_fit(X_arr, Y_arr[:, output], encoded=query)

@@ -14,8 +14,9 @@ harness around that algebra:
   ``n_workers=0`` runs the workers inline (same code path, no
   processes); ``n_workers>0`` fans out over a ``fork`` process pool
   with the state protocol (``get_state``/``set_state``) as the wire
-  format.  Each pool worker pins its BLAS to one thread, so N workers
-  run N BLAS threads rather than N times the host's cores.  Reduction
+  format.  Each pool worker pins its BLAS to one thread and encodes
+  without the split-pass helper thread (:mod:`repro.ops.halves`), so N
+  workers run N threads rather than N times the host's cores.  Reduction
   always happens in shard-id order regardless of worker completion
   order, so the merge order — and therefore every bit of the merged
   model — cannot depend on scheduling.
@@ -48,6 +49,7 @@ import numpy as np
 
 from repro.core.delta import ModelDelta, merge_deltas
 from repro.exceptions import ConfigurationError
+from repro.ops import halves
 from repro.registry import model_class, model_type_of
 from repro.telemetry import metrics as _metrics
 from repro.telemetry.tracing import span
@@ -74,14 +76,17 @@ _BLAS_PINNED = False
 
 
 def _pin_blas_thread() -> None:
-    """Pool initializer: run this worker's BLAS on one thread.
+    """Pool initializer: run this worker's BLAS and encodes on one thread.
 
-    numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*``)
-    exports ``scipy_openblas_set_num_threads64_``.  Where no such library
-    or symbol exists (another BLAS build), nothing changes, and
+    The encoders' split passes stay in the calling thread
+    (:func:`repro.ops.halves.stay_single_threaded`).  numpy's bundled
+    OpenBLAS (``numpy.libs/libscipy_openblas64_*``) exports
+    ``scipy_openblas_set_num_threads64_``.  Where no such library or
+    symbol exists (another BLAS build), the BLAS is left as it is, and
     :attr:`ShardRoundReport.blas_pinned` says so.
     """
     global _BLAS_PINNED
+    halves.stay_single_threaded()
     libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
         try:

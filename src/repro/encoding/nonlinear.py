@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.encoding.base import Encoder, frozen
 from repro.exceptions import EncodingError
+from repro.ops import halves
 from repro.ops.generate import random_bipolar, random_gaussian
 from repro.ops.normalize import block_rows
 from repro.registry import register_encoder
@@ -53,8 +54,33 @@ def encode_into(
     ``np.dot`` over the whole batch and the rest is elementwise, so both
     encode every row bit for bit alike.  This is the one float
     implementation of the encoder.
+
+    A batch of at least :data:`~repro.ops.halves.SPLIT_ELEMENTS`
+    components whose ``tmp`` has two rows or more takes its elementwise
+    part as row halves of ``out`` and ``tmp`` on two cores
+    (:func:`~repro.ops.halves.run_halves`), bit for bit as in one pass.
+    The dot is never cut: a 1-row ``np.dot`` runs BLAS gemv, which rounds
+    differently from the same row inside a taller gemm.
     """
     np.dot(X, bases, out=out)
+    if out.size < halves.SPLIT_ELEMENTS or len(tmp) < 2:
+        _trig_into(out, phases, scale, tmp)
+    else:
+        r, t = len(out) // 2, len(tmp) // 2
+        halves.run_halves(
+            _trig_into,
+            (out[:r], phases, scale, tmp[:t]),
+            (out[r:], phases, scale, tmp[t:]),
+        )
+    return out
+
+
+def _trig_into(
+    out: FloatArray, phases: FloatArray, scale: float, tmp: FloatArray
+) -> None:
+    """The elementwise part of :func:`encode_into`: ``out`` holds the
+    projections ``X @ B`` and becomes ``cos(p + b) * sin(p)`` with
+    ``p = (X @ B) * scale``, ``len(tmp)`` rows at a time."""
     np.multiply(out, scale, out=out)
     step = max(len(tmp), 1)
     for lo in range(0, len(out), step):
@@ -63,7 +89,6 @@ def encode_into(
         np.cos(cos, out=cos)
         np.sin(blk, out=blk)
         np.multiply(blk, cos, out=blk)
-    return out
 
 
 @register_encoder("nonlinear")

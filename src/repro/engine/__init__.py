@@ -7,7 +7,8 @@ into a :class:`CompiledPlan` — encoder projection, target scaling and the
 effective (quantised) hypervectors, with binary operands bit-packed into
 ``uint64`` words — and the plan predicts through a tiled pipeline
 (fused encode → similarity → softmax → accumulate on preallocated
-scratch) in the calling thread.
+scratch) in the calling thread, which may hand half of a split-sized
+encode pass to one helper thread (:mod:`repro.ops.halves`).
 
 On quantised configurations the similarity search and fully-binary dot
 products run as XOR + popcount (Sec. 3's D-bit logic), bit-exact with the

@@ -12,6 +12,10 @@ Plans whose backend fuses encode→pack (``plan.fused_encode``) skip the
 float pipeline entirely: raw feature rows become packed ``uint64`` sign
 words plus per-row scales in one kernel, and the ``(tile, D)`` float
 encoding is never materialised.
+
+Either encode hands half of a split-sized elementwise pass to the
+process's one helper thread (:mod:`repro.ops.halves`); everything else
+of a tile runs in the calling thread.
 """
 
 from __future__ import annotations

@@ -270,7 +270,9 @@ class CompiledPlan:
         <repro.core.multi.MultiModelRegHD.predict>` on the model state at
         compile time (bit-exact packed similarity scores; predictions
         match to float rounding).  Runs in the compile-time ``tile_rows``
-        tiles, in the calling thread.
+        tiles, in the calling thread; a tile's encode may hand half of a
+        split-sized elementwise pass to the process's one helper thread
+        (:mod:`repro.ops.halves`).
         """
         X_arr = check_2d("X", X)
         if X_arr.shape[1] != self.in_features:

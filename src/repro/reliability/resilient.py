@@ -6,7 +6,8 @@ with the full reliability stack, in this per-batch order:
 1. **scrub** (scheduled) — repair memory faults accumulated since the
    last batch, *before* they poison a prediction;
 2. **guard** — sanitise the incoming ``(X, y)`` under the configured
-   policy; a fully-dropped batch is reported and skipped;
+   policy; an empty batch, or one the guard drops whole, is reported and
+   skipped;
 3. **learn** — the usual predict-then-train step of
    :class:`StreamingRegHD`, including forgetting and drift handling;
 4. **watchdog** — compare prequential error against the health envelope;
@@ -41,6 +42,7 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import tracing as _tracing
 from repro.telemetry.tracing import span
 from repro.types import ArrayLike, FloatArray
+from repro.utils.validation import check_1d, check_2d, check_matching_lengths
 
 
 def _checkpointed_guard(in_features: int, stream: dict) -> InputGuard | None:
@@ -95,7 +97,7 @@ class ResilientBatchReport(StreamBatchReport):
     scrub: ScrubReport | None = None
     rolled_back: bool = False
     checkpointed: bool = False
-    skipped: bool = False  # guard dropped every row; nothing was learned
+    skipped: bool = False  # the batch, or what the guard kept of it, was empty
     restored_checkpoint: str | None = None
     trigger_error: float | None = None
 
@@ -223,17 +225,20 @@ class ResilientStreamingRegHD(StreamingRegHD):
         if self.guard is not None:
             with span("guard"):
                 X, y, guard_report = self.guard.check(X, y)
-            if len(X) == 0:
-                report = ResilientBatchReport(
-                    batch=self._batch_counter,
-                    prequential_mse=None,
-                    drift_detected=False,
-                    guard=guard_report,
-                    scrub=scrub_report,
-                    skipped=True,
-                )
-                self.history.reports.append(report)
-                return report
+        else:
+            X, y = check_2d("X", X), check_1d("y", y)
+            check_matching_lengths("X", X, "y", y)
+        if len(X) == 0:
+            report = ResilientBatchReport(
+                batch=self._batch_counter,
+                prequential_mse=None,
+                drift_detected=False,
+                guard=guard_report,
+                scrub=scrub_report,
+                skipped=True,
+            )
+            self.history.reports.append(report)
+            return report
 
         base = super().update(X, y)
         if self.scrubber is not None:

@@ -31,6 +31,15 @@ Two things make the fused path faster than encode-then-pack:
   and the sign-bit packing consume each block while it is cache-hot,
   instead of re-streaming a multi-megabyte tile once per derivation.
 
+Like the float encoder, a block of two rows or more and at least
+:data:`~repro.ops.halves.SPLIT_ELEMENTS` components computes the
+elementwise ``2H`` of its row halves on the calling thread and the
+process's helper thread (:mod:`repro.ops.halves`).  The projection
+``np.dot``, the reductions, the sign packing and the block layout stay
+in the caller, so words and scales are bit for bit those of one thread.
+A 1-row point query never splits; an 8-row read at D=4096 does, once per
+block.
+
 The block width is chosen once per scratch set, from its tile height (a
 multiple of 64 so each block lands on packed-word boundaries): the
 widest block whose ``(tile_rows, block)`` slab fits 32 768 elements
@@ -51,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.ops import halves
 from repro.telemetry import metrics as _metrics
 from repro.types import FloatArray
 
@@ -162,6 +172,21 @@ class FusedScratch:
         return self.floats.nbytes + self.bits.nbytes + self.sums.nbytes + words
 
 
+def _double_h(
+    pb: FloatArray,
+    two_scale: float,
+    phases: FloatArray,
+    sin_phases: FloatArray,
+) -> None:
+    """``pb`` holds projections ``X @ B`` and becomes the doubled encoding
+    ``2H = sin(2p + φ) − sin φ`` with ``p = (X @ B) · scale``: one trig
+    call per element in place of the cos·sin product."""
+    np.multiply(pb, two_scale, out=pb)
+    np.add(pb, phases, out=pb)
+    np.sin(pb, out=pb)
+    np.subtract(pb, sin_phases, out=pb)
+
+
 def encode_pack_tile(
     X: FloatArray,
     enc: EncoderOperands,
@@ -186,6 +211,10 @@ def encode_pack_tile(
     into the norm/scale accumulators while cache-resident.  ``2H`` has
     the sign bits of ``H``, and its scale ``(Σ|2H|/D) / max(‖2H‖,
     2·eps)`` equals that of ``H`` bit for bit (see the module notes).
+    A block of two rows or more and at least
+    :data:`~repro.ops.halves.SPLIT_ELEMENTS` components takes its
+    elementwise ``2H`` as row halves on two cores, bit for bit as in one
+    pass.
     """
     t = X.shape[0]
     dim, bc = scratch.dim, scratch.block_cols
@@ -199,6 +228,7 @@ def encode_pack_tile(
         words = words[:t]
         words_u8 = words.view(np.uint8)
     sums = scratch.sums[:, :t]
+    split_at = halves.SPLIT_ELEMENTS
     for d0 in range(0, dim, bc):
         cols = slice(d0, d0 + bc)
         w = min(bc, dim - d0)
@@ -206,13 +236,16 @@ def encode_pack_tile(
         # requires a C-contiguous output array.
         block = scratch.floats[:, : t * w].reshape(2, t, w)
         pb = block[0]
-        # 2H = sin(2p + φ) − sin φ with p = (X @ B) · scale: one trig
-        # call per element in place of the cos·sin product.
         np.dot(X, bases[:, cols], out=pb)
-        np.multiply(pb, two_scale, out=pb)
-        np.add(pb, phases[cols], out=pb)
-        np.sin(pb, out=pb)
-        np.subtract(pb, sin_phases[cols], out=pb)
+        if t * w < split_at or t < 2:
+            _double_h(pb, two_scale, phases[cols], sin_phases[cols])
+        else:
+            r = t // 2
+            halves.run_halves(
+                _double_h,
+                (pb[:r], two_scale, phases[cols], sin_phases[cols]),
+                (pb[r:], two_scale, phases[cols], sin_phases[cols]),
+            )
         # (2H)² into the slab's second row, before |2H| overwrites 2H.
         np.multiply(pb, pb, out=block[1])
         # Sign bits → packed bytes; block starts are multiples of 64, so

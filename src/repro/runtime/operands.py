@@ -47,13 +47,15 @@ def rederive_sign_rows(
 
     ``out`` holds the sign pattern as packed ``uint64`` words ``(k, W)``
     or as float ±1 signs transposed to ``(D, k)``; ``rows`` is a boolean
-    mask over the rows of ``dual``.
+    mask over the rows of ``dual``.  Words are taken from one packing of
+    all ``k`` rows, whose temporaries are bool and packed rows: indexing
+    the moved float rows out of ``dual.signs`` first would copy eight
+    bytes per component.
     """
-    signs = dual.signs[rows]
     if out.dtype == np.uint64:
-        out[rows] = pack_sign_words(signs)
+        out[rows] = pack_sign_words(dual.signs)[rows]
     else:
-        out[:, rows] = signs.T
+        out[:, rows] = dual.signs[rows].T
 
 
 def cluster_norms(dual: DualCopy) -> FloatArray:

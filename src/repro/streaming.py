@@ -387,11 +387,22 @@ class StreamingRegHD:
         gives the prequential prediction and is then handed to
         ``partial_fit``, so training reuses its encoding and scales.
         Returns the prequential report for this batch; the full history
-        accumulates on :attr:`history`.
+        accumulates on :attr:`history`.  A batch of zero rows is recorded
+        without training and without advancing the batch count, as
+        :class:`~repro.reliability.ResilientStreamingRegHD` records a
+        batch its guard empties.
         """
         X_arr = check_2d("X", X)
         y_arr = check_1d("y", y)
         check_matching_lengths("X", X_arr, "y", y_arr)
+        if not len(y_arr):
+            report = StreamBatchReport(
+                batch=self._batch_counter,
+                prequential_mse=None,
+                drift_detected=False,
+            )
+            self.history.reports.append(report)
+            return report
         self._batch_counter += 1
 
         prequential: float | None = None

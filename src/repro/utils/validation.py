@@ -75,6 +75,12 @@ def check_matching_lengths(
         )
 
 
+def check_nonempty(name: str, array: FloatArray) -> None:
+    """Raise unless ``array`` holds at least one row."""
+    if not len(array):
+        raise DimensionalityError(f"{name} must hold at least one row, got 0")
+
+
 def check_optional_pair(
     name_a: str, a: object, name_b: str, b: object
 ) -> bool:

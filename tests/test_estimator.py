@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import MultiModelRegHD, RegHDConfig, SingleModelRegHD
+from repro.core import (
+    MultiModelRegHD,
+    MultiOutputRegHD,
+    RegHDConfig,
+    SingleModelRegHD,
+)
 from repro.core.config import ConvergencePolicy
 from repro.core.estimator import (
     BaseRegHDEstimator,
@@ -13,7 +18,7 @@ from repro.core.estimator import (
     take_array,
 )
 from repro.encoding import NonlinearEncoder
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DimensionalityError
 
 
 class TestTargetScaler:
@@ -203,3 +208,34 @@ class TestBaseEstimatorProtocol:
         np.testing.assert_array_equal(
             model.predict(X), MultiModelRegHD.from_state(*state).predict(X)
         )
+
+
+class TestEmptyPartialFit:
+    """A zero-row ``partial_fit`` raises before it touches any state: the
+    model stays unfitted (its target scaler is not frozen on no targets),
+    and the next batch predicts bit for bit as in a run that never saw
+    the empty one."""
+
+    MODELS = {
+        "single": lambda: SingleModelRegHD(5, dim=256, seed=0),
+        "multi": lambda: MultiModelRegHD(5, dim=256, seed=0),
+        "multioutput": lambda: MultiOutputRegHD(
+            5, 2, RegHDConfig(dim=256, seed=0)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_empty_batch_changes_nothing(self, name):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(64, 5))
+        y = X[:, 0] - X[:, 1]
+        Y = np.column_stack([y, -y]) if name == "multioutput" else y
+        poked, clean = self.MODELS[name](), self.MODELS[name]()
+        with pytest.raises(DimensionalityError, match="at least one row"):
+            poked.partial_fit(X[:0], Y[:0])
+        assert not poked.fitted
+        poked.partial_fit(X, Y)
+        clean.partial_fit(X, Y)
+        out = poked.predict(X)
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out, clean.predict(X))

@@ -430,3 +430,34 @@ class TestOneEncodePerUpdate:
             report = stream.update(X, y)
             assert (report.prequential_mse is None) == (i == 0)
             assert len(calls) == before + 1, f"batch {i}"
+
+
+class TestEmptyBatches:
+    @pytest.mark.parametrize("resilient", [False, True])
+    def test_empty_first_batch_is_recorded_without_training(
+        self, tmp_path, resilient
+    ):
+        """An empty batch, first in the stream, is recorded without
+        training or a checkpoint; the stream then learns and predicts bit
+        for bit as one that never saw it."""
+
+        def stream(name):
+            if not resilient:
+                return StreamingRegHD(4, CONFIG)
+            return ResilientStreamingRegHD(
+                4, CONFIG, checkpoint_dir=tmp_path / name, checkpoint_every=1
+            )
+
+        poked, clean = stream("poked"), stream("clean")
+        report = poked.update(np.zeros((0, 4)), np.zeros(0))
+        assert (report.batch, report.prequential_mse) == (0, None)
+        assert list(poked.history.reports) == [report]
+        assert not poked.model.fitted
+        if resilient:
+            assert report.skipped
+            assert poked.checkpoints.checkpoints() == []
+        for X, y in _stream_batches(0, n_batches=4, batch=32, seed=3):
+            ours, theirs = poked.update(X, y), clean.update(X, y)
+            assert ours.prequential_mse == theirs.prequential_mse
+        assert_array_equal(poked.predict(X), clean.predict(X))
+        assert np.isfinite(poked.predict(X)).all()
