@@ -76,3 +76,29 @@ def call_seconds(fn, repeats: int, *, warmup: int = 1) -> np.ndarray:
         fn()
         seconds[i] = monotonic() - start
     return seconds
+
+
+def paired_seconds(
+    first, second, pairs: int, *, warmup: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wall seconds of ``pairs`` timed calls each of ``first`` and
+    ``second``, in alternating pairs, after ``warmup`` untimed calls of
+    both.
+
+    Each pair times one call of each back to back, ``first`` leading in
+    even pairs and ``second`` in odd ones.  A host whose speed drifts in
+    phases slows both calls of a pair alike, so the pairs' ratios cancel
+    the phase; compare their median, which ignores the pairs a phase
+    change splits.
+    """
+    for _ in range(warmup):
+        first()
+        second()
+    seconds = np.empty((2, pairs))
+    calls = (first, second)
+    for i in range(pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            start = monotonic()
+            calls[side]()
+            seconds[side, i] = monotonic() - start
+    return seconds[0], seconds[1]

@@ -4,6 +4,10 @@ Serves one fitted quantised ``MultiModelRegHD`` (``cluster_quant=
 framework``, ``predict_quant=binary_both``: every heavy stage binarises)
 two ways on 1024-row batches across D ∈ {1k, 4k, 10k}: the model's own
 float ``predict`` and its compiled ``packed_v2`` plan.
+The comparison is paired: after one warm-up call each, every pair times
+one batch per path back to back, alternating which goes first, and the
+speedup is the median of the pairs' float/packed ratios, so a host speed
+phase that lands on one path's calls cannot flip it.
 Asserts the acceptance shape: at D ≥ 4096 the packed plan beats the
 float path, and the served paths agree numerically.
 
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _common import call_seconds, save_result
+from _common import paired_seconds, save_result
 from repro.core.config import RegHDConfig
 from repro.core.multi import MultiModelRegHD
 from repro.core.quantization import ClusterQuant, PredictQuant
@@ -23,7 +27,8 @@ from repro.evaluation import render_table
 DIMS = (1000, 4096, 10000)
 FEATURES = 16
 BATCH_ROWS = 1024
-REPEATS = 5
+#: timed float/packed_v2 batch pairs per D
+PAIRS = 5
 
 
 def _fitted_model(dim: int) -> MultiModelRegHD:
@@ -51,23 +56,27 @@ def test_engine_throughput_sweep():
         model = _fitted_model(dim)
         plan = model.compile(backend="packed_v2")
         X = rng.normal(size=(BATCH_ROWS, FEATURES))
-        rates = {}
-        for variant, predict in (
-            ("float", model.predict),
-            ("packed_v2", plan.predict),
-        ):
-            seconds = call_seconds(lambda: predict(X), REPEATS)
-            rates[variant] = BATCH_ROWS * REPEATS / seconds.sum()
+        seconds = dict(
+            zip(
+                ("float", "packed_v2"),
+                paired_seconds(
+                    lambda: model.predict(X), lambda: plan.predict(X), PAIRS
+                ),
+            )
+        )
+        for variant, times in seconds.items():
             rows.append(
                 {
                     "dim": dim,
                     "variant": variant,
-                    "rows_per_s": rates[variant],
-                    "p50_ms": np.percentile(seconds, 50) * 1e3,
-                    "p99_ms": np.percentile(seconds, 99) * 1e3,
+                    "rows_per_s": BATCH_ROWS * PAIRS / times.sum(),
+                    "p50_ms": np.percentile(times, 50) * 1e3,
+                    "p99_ms": np.percentile(times, 99) * 1e3,
                 }
             )
-        speedups[dim] = rates["packed_v2"] / rates["float"]
+        speedups[dim] = float(
+            np.median(seconds["float"] / seconds["packed_v2"])
+        )
     lines = [
         render_table(
             rows,
@@ -77,7 +86,7 @@ def test_engine_throughput_sweep():
         "",
     ]
     lines += [
-        f"D={dim:>6}: packed_v2 {ratio:.2f}x vs float"
+        f"D={dim:>6}: packed_v2 {ratio:.2f}x vs float (median paired ratio)"
         for dim, ratio in speedups.items()
     ]
     save_result("engine_throughput", "\n".join(lines))

@@ -110,10 +110,7 @@ def fused_rows():
         plain_scratch = TileScratch(tile, dim)
 
         def unfused():
-            S = encode_into(
-                X, operands.bases, operands.phases, operands.scale,
-                plain_scratch.main, plain_scratch.aux,
-            )
+            S = encode_into(X, *operands, plain_scratch.main)
             norms = row_norms(S)
             query_scales(S, norms, plain_scratch)
             packed_query_words(S, plain_scratch)

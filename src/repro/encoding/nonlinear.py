@@ -17,6 +17,17 @@ features.  Two properties matter for RegHD:
   model in HD space (a dot product with a model hypervector) can fit a
   nonlinear function of the original features.  This is why RegHD "learns a
   regression model in an efficient and linear way" (paper abstract).
+
+The code computes Eq. (1) through the product-to-sum identity
+
+    2 H_d = 2 cos(p_d + b_d) sin(p_d) = sin(2 p_d + b_d) − sin(b_d)
+
+with ``p = F . B * scale``: one transcendental per component instead of
+two, since ``sin(b)`` is fixed per encoder.  :func:`double_h` is the one
+kernel for it.  The float encoder halves its output once (exact for normal
+floats) and the fused serving tile (:mod:`repro.runtime.fused`) keeps
+``2H``, so both derive every sign bit from the same float.  In floats the
+identity's ``H`` differs from the product form by a few ulps.
 """
 
 from __future__ import annotations
@@ -27,10 +38,29 @@ from repro.encoding.base import Encoder, frozen
 from repro.exceptions import EncodingError
 from repro.ops import halves
 from repro.ops.generate import random_bipolar, random_gaussian
-from repro.ops.normalize import block_rows
 from repro.registry import register_encoder
 from repro.types import FloatArray, SeedLike
 from repro.utils.rng import derive_generator
+
+
+def double_h(
+    p: FloatArray, two_scale: float, phases: FloatArray, sin_phases: FloatArray
+) -> None:
+    """``p`` holds projections ``X @ B`` and becomes the doubled encoding
+    ``2H = sin(2p·scale + φ) − sin φ`` in place, given ``two_scale =
+    2·scale`` and ``sin_phases = sin φ``."""
+    np.multiply(p, two_scale, out=p)
+    np.add(p, phases, out=p)
+    np.sin(p, out=p)
+    np.subtract(p, sin_phases, out=p)
+
+
+def _h_into(
+    p: FloatArray, two_scale: float, phases: FloatArray, sin_phases: FloatArray
+) -> None:
+    """:func:`double_h`, then the one exact halving to ``H``."""
+    double_h(p, two_scale, phases, sin_phases)
+    np.multiply(p, 0.5, out=p)
 
 
 def encode_into(
@@ -38,57 +68,29 @@ def encode_into(
     bases: FloatArray,
     phases: FloatArray,
     scale: float,
+    sin_phases: FloatArray,
     out: FloatArray,
-    tmp: FloatArray,
 ) -> FloatArray:
     """Eq. (1) of the rows ``X`` written into ``out``; returns ``out``.
 
-    Computes ``cos(X @ B * scale + b) * sin(X @ B * scale)`` in place:
-    ``out`` is a ``(len(X), dim)`` float64 buffer and ``tmp`` a
-    ``(rows, dim)`` one of at least one row, which holds the cosine term
-    of ``rows`` rows at a time.  :class:`NonlinearEncoder` passes a
-    fresh ``out`` and a one-block ``tmp`` (see
-    :func:`~repro.ops.normalize.block_rows`), so an encoded batch costs
-    one float matrix; the compiled engine's unfused tile passes
-    full-size scratch and runs in one block.  The projection is one
-    ``np.dot`` over the whole batch and the rest is elementwise, so both
-    encode every row bit for bit alike.  This is the one float
-    implementation of the encoder.
+    ``out`` is a ``(len(X), dim)`` float64 buffer: the projection is one
+    ``np.dot`` over the whole batch into it, then :func:`double_h` and
+    one halving run in place, so an encoded batch costs one float
+    matrix.  :class:`NonlinearEncoder` passes a fresh ``out`` and the
+    compiled engine's unfused tile its scratch; both encode every row
+    bit for bit alike.  This is the one float implementation of the
+    encoder.
 
-    A batch of at least :data:`~repro.ops.halves.SPLIT_ELEMENTS`
-    components whose ``tmp`` has two rows or more takes its elementwise
-    part as row halves of ``out`` and ``tmp`` on two cores
-    (:func:`~repro.ops.halves.run_halves`), bit for bit as in one pass.
+    A batch of two rows or more and at least
+    :data:`~repro.ops.halves.SPLIT_ELEMENTS` components takes its
+    elementwise part as row halves on two cores
+    (:func:`~repro.ops.halves.run_rows`), bit for bit as in one pass.
     The dot is never cut: a 1-row ``np.dot`` runs BLAS gemv, which rounds
     differently from the same row inside a taller gemm.
     """
     np.dot(X, bases, out=out)
-    if out.size < halves.SPLIT_ELEMENTS or len(tmp) < 2:
-        _trig_into(out, phases, scale, tmp)
-    else:
-        r, t = len(out) // 2, len(tmp) // 2
-        halves.run_halves(
-            _trig_into,
-            (out[:r], phases, scale, tmp[:t]),
-            (out[r:], phases, scale, tmp[t:]),
-        )
+    halves.run_rows(_h_into, out, 2.0 * scale, phases, sin_phases)
     return out
-
-
-def _trig_into(
-    out: FloatArray, phases: FloatArray, scale: float, tmp: FloatArray
-) -> None:
-    """The elementwise part of :func:`encode_into`: ``out`` holds the
-    projections ``X @ B`` and becomes ``cos(p + b) * sin(p)`` with
-    ``p = (X @ B) * scale``, ``len(tmp)`` rows at a time."""
-    np.multiply(out, scale, out=out)
-    step = max(len(tmp), 1)
-    for lo in range(0, len(out), step):
-        blk = out[lo : lo + step]
-        cos = np.add(blk, phases, out=tmp[: len(blk)])
-        np.cos(cos, out=cos)
-        np.sin(blk, out=blk)
-        np.multiply(blk, cos, out=blk)
 
 
 @register_encoder("nonlinear")
@@ -157,6 +159,8 @@ class NonlinearEncoder(Encoder):
             bases = random_gaussian(in_features, dim, base_rng)
         self._bases = frozen(bases)
         self._phases = frozen(phase_rng.uniform(0.0, 2.0 * np.pi, size=dim))
+        # Derived from the phases, never saved.
+        self._sin_phases = frozen(np.sin(self._phases))
 
     @property
     def bases(self) -> FloatArray:
@@ -173,14 +177,27 @@ class NonlinearEncoder(Encoder):
         return view
 
     @property
+    def sin_phases(self) -> FloatArray:
+        """``sin(phases)``, the input-independent term of the doubled
+        encoding ``2H`` (read-only view)."""
+        view = self._sin_phases.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def scale(self) -> float:
         """Projection bandwidth applied before the trig nonlinearity."""
         return self._scale
 
     def _encode_batch(self, X: FloatArray) -> FloatArray:
-        out = np.empty((len(X), self.dim))
-        tmp = np.empty((min(len(X), block_rows(self.dim)), self.dim))
-        return encode_into(X, self._bases, self._phases, self._scale, out, tmp)
+        return encode_into(
+            X,
+            self._bases,
+            self._phases,
+            self._scale,
+            self._sin_phases,
+            np.empty((len(X), self.dim)),
+        )
 
     def get_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """State-protocol snapshot: hyper-parameters plus frozen arrays."""
@@ -218,6 +235,7 @@ class NonlinearEncoder(Encoder):
             )
         encoder._bases = bases
         encoder._phases = phases
+        encoder._sin_phases = frozen(np.sin(phases))
         return encoder
 
     def __repr__(self) -> str:

@@ -68,18 +68,10 @@ def _run_tile(
         query = Query(None, words=words, scales=q_scales)
         signs = None
     else:
-        # 1. Encode (Eq. 1) into the scratch buffers when the plan
+        # 1. Encode (Eq. 1) into the main scratch buffer when the plan
         #    carries a projection snapshot.
         if enc is not None:
-            t = hi - lo
-            S = encode_into(
-                X_tile,
-                enc.bases,
-                enc.phases,
-                enc.scale,
-                scratch.main[:t],
-                scratch.aux[:t],
-            )
+            S = encode_into(X_tile, *enc, scratch.main[: hi - lo])
         else:
             S = np.asarray(plan.encoder.encode_batch(X_tile), dtype=np.float64)
         norms = row_norms(S)

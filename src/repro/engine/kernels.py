@@ -9,10 +9,9 @@ This module owns only the *query-side preparation* — binarisation
 scales and packed words derived into scratch; the row norms and sign
 rows are the training path's own (:func:`repro.ops.normalize.row_norms`,
 :func:`repro.runtime.kernels.sign_rows` into ``scratch.aux``), and the
-encoding itself is
-:func:`repro.encoding.nonlinear.encode_into` writing into the same
-buffers.  The similarity / softmax / dot-product arithmetic itself lives
-in :mod:`repro.runtime` and is reached through the plan's
+encoding itself is :func:`repro.encoding.nonlinear.encode_into` writing
+into ``scratch.main``.  The similarity / softmax / dot-product arithmetic
+itself lives in :mod:`repro.runtime` and is reached through the plan's
 :class:`~repro.runtime.KernelBackend`, so serving and training share one
 kernel layer by construction.
 """
@@ -47,7 +46,7 @@ class TileScratch:
         self.fused = None
         #: primary float buffer: raw encoding, then normalised encoding
         self.main = np.empty((tile_rows, dim), dtype=np.float64)
-        #: secondary float buffer: trig temporary, |S|, then sign matrix
+        #: secondary float buffer: |S|, then sign matrix
         self.aux = np.empty((tile_rows, dim), dtype=np.float64)
         #: boolean sign-bit buffer feeding the word packer
         self.bits = np.empty((tile_rows, dim), dtype=np.bool_)

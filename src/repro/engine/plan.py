@@ -391,12 +391,11 @@ def compile_model(
     fused_encode = False
     if type(model.encoder) is NonlinearEncoder:
         fused_encode = runtime.fuses_encode(cfg.cluster_quant, cfg.predict_quant)
-        phases = model.encoder.phases
         enc_operands = EncoderOperands(
             frozen_copy(model.encoder.bases),
-            frozen_copy(phases),
+            frozen_copy(model.encoder.phases),
             float(model.encoder.scale),
-            frozen_copy(np.sin(phases)) if fused_encode else None,
+            frozen_copy(model.encoder.sin_phases),
         )
     else:
         encoder = model.encoder

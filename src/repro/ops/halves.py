@@ -52,7 +52,7 @@ import os
 import threading
 from typing import Callable
 
-__all__ = ["SPLIT_ELEMENTS", "run_halves", "stay_single_threaded"]
+__all__ = ["SPLIT_ELEMENTS", "run_halves", "run_rows", "stay_single_threaded"]
 
 #: components a pass must hold before its caller splits it
 SPLIT_ELEMENTS = 16384
@@ -152,6 +152,18 @@ def run_halves(fn: Callable, first: tuple, second: tuple) -> None:
         fn(*second)
     else:
         helper.run(fn, first, second)
+
+
+def run_rows(fn: Callable, rows, *args) -> None:
+    """``fn(rows, *args)``, an elementwise pass over the rows of one 2-D
+    buffer, as two row halves (:func:`run_halves`) when it holds two rows
+    or more and at least :data:`SPLIT_ELEMENTS` components, whole
+    otherwise."""
+    if rows.size < SPLIT_ELEMENTS or len(rows) < 2:
+        fn(rows, *args)
+    else:
+        r = len(rows) // 2
+        run_halves(fn, (rows[:r], *args), (rows[r:], *args))
 
 
 def stay_single_threaded() -> None:

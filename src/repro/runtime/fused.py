@@ -11,22 +11,16 @@ so the intermediate float encoding never exists beyond a
 
 Two things make the fused path faster than encode-then-pack:
 
-* **single-trig encode** — Eq. (1) is ``H = cos(p + φ) · sin(p)`` with
-  ``p = (X @ B) · scale``.  The product-to-sum identity
-
-      ``2H = 2 · cos(p + φ) · sin(p) = sin(2p + φ) − sin(φ)``
-
-  needs *one* transcendental evaluation per element instead of two
-  (``sin(φ)`` is precomputed per plan).  Trig dominates serving time at
-  paper-scale D, so this roughly halves the encode stage.  The identity
-  is exact in real arithmetic; in floats the two forms agree to a few
-  ulps, which leaves the sign bits — all the packed kernels consume —
-  identical in practice and the scale reductions equal to rounding.
-  The pipeline keeps ``2H`` and never halves it: doubling is exact, so
-  ``2H`` has the sign bits of ``H``, and ``Σ|2H|``, ``‖2H‖`` and the
-  norm floor ``2·eps`` are exactly twice ``Σ|H|``, ``‖H‖`` and ``eps``;
-  the factors cancel in ``(Σ|2H|/D) / max(‖2H‖, 2·eps)``, which equals
-  the scale of ``H`` bit for bit, the all-zero row included.
+* **single-trig encode** — each block of projections becomes the
+  doubled Eq.-(1) encoding ``2H = sin(2p + φ) − sin φ`` through
+  :func:`repro.encoding.nonlinear.double_h`, the kernel the float encoder
+  halves from, so wherever a block's projection rounds as the whole
+  batch's does, the words hold the float encoder's sign bits by
+  construction.  The pipeline keeps ``2H`` and never halves it: doubling
+  is exact, so ``2H`` has the sign bits of ``H``, and ``Σ|2H|``, ``‖2H‖``
+  and the norm floor ``2·eps`` are exactly twice ``Σ|H|``, ``‖H‖`` and
+  ``eps``; the factors cancel in ``(Σ|2H|/D) / max(‖2H‖, 2·eps)``, which
+  equals the scale of ``H`` bit for bit, the all-zero row included.
 * **blocked reductions** — the squared-sum / absolute-sum accumulators
   and the sign-bit packing consume each block while it is cache-hot,
   instead of re-streaming a multi-megabyte tile once per derivation.
@@ -60,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.encoding.nonlinear import double_h
 from repro.ops import halves
 from repro.telemetry import metrics as _metrics
 from repro.types import FloatArray
@@ -119,15 +114,14 @@ class EncoderOperands(NamedTuple):
     """Projection operands of one nonlinear encoder, stored in a plan.
 
     :func:`~repro.engine.compile_model` snapshots them once as read-only
-    copies; every predict call encodes with the same arrays.
-    ``sin_phases`` (``sin(φ)``, precomputed once) is only consumed by the
-    fused single-trig pipeline; plans that encode unfused carry ``None``.
+    copies of the encoder's arrays, ``sin(φ)`` included; every predict
+    call encodes with the same arrays, fused or not.
     """
 
     bases: FloatArray
     phases: FloatArray
     scale: float
-    sin_phases: FloatArray | None = None
+    sin_phases: FloatArray
 
 
 class FusedScratch:
@@ -172,21 +166,6 @@ class FusedScratch:
         return self.floats.nbytes + self.bits.nbytes + self.sums.nbytes + words
 
 
-def _double_h(
-    pb: FloatArray,
-    two_scale: float,
-    phases: FloatArray,
-    sin_phases: FloatArray,
-) -> None:
-    """``pb`` holds projections ``X @ B`` and becomes the doubled encoding
-    ``2H = sin(2p + φ) − sin φ`` with ``p = (X @ B) · scale``: one trig
-    call per element in place of the cos·sin product."""
-    np.multiply(pb, two_scale, out=pb)
-    np.add(pb, phases, out=pb)
-    np.sin(pb, out=pb)
-    np.subtract(pb, sin_phases, out=pb)
-
-
 def encode_pack_tile(
     X: FloatArray,
     enc: EncoderOperands,
@@ -228,7 +207,6 @@ def encode_pack_tile(
         words = words[:t]
         words_u8 = words.view(np.uint8)
     sums = scratch.sums[:, :t]
-    split_at = halves.SPLIT_ELEMENTS
     for d0 in range(0, dim, bc):
         cols = slice(d0, d0 + bc)
         w = min(bc, dim - d0)
@@ -237,15 +215,7 @@ def encode_pack_tile(
         block = scratch.floats[:, : t * w].reshape(2, t, w)
         pb = block[0]
         np.dot(X, bases[:, cols], out=pb)
-        if t * w < split_at or t < 2:
-            _double_h(pb, two_scale, phases[cols], sin_phases[cols])
-        else:
-            r = t // 2
-            halves.run_halves(
-                _double_h,
-                (pb[:r], two_scale, phases[cols], sin_phases[cols]),
-                (pb[r:], two_scale, phases[cols], sin_phases[cols]),
-            )
+        halves.run_rows(double_h, pb, two_scale, phases[cols], sin_phases[cols])
         # (2H)² into the slab's second row, before |2H| overwrites 2H.
         np.multiply(pb, pb, out=block[1])
         # Sign bits → packed bytes; block starts are multiples of 64, so

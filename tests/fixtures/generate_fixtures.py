@@ -1,23 +1,21 @@
-"""Generate the checked-in serialization / golden-equivalence fixtures.
+"""Regenerate the checked-in golden predictions.
 
 Run from the repo root with ``PYTHONPATH=src python
-tests/fixtures/generate_fixtures.py``.  The outputs are committed:
+tests/fixtures/generate_fixtures.py``.  It writes one file,
+``golden_predictions.npz``:
 
-* ``golden_predictions.npz`` — fit + predict outputs of
-  ``SingleModelRegHD``, ``BaselineHD`` and ``MultiModelRegHD`` (every
-  ``ClusterQuant`` × ``PredictQuant`` combination), plus a frozen-scaler
-  ``partial_fit`` sequence, captured **before** the estimator-stack
-  refactor.  ``tests/test_estimator_golden.py`` retrains with the same
-  seeds and asserts bit-identical predictions, so the refactor is proven
-  behaviourally invisible.
-* ``v1_*.npz`` — model files written by the format-v1 serializer.  The
-  compat loader must keep reading them forever;
-  ``tests/test_serialization_matrix.py`` asserts their predictions match
-  the recorded ``golden_predictions.npz`` entries.
+* fit + predict outputs of ``SingleModelRegHD``, ``BaselineHD`` and
+  ``MultiModelRegHD`` (every ``ClusterQuant`` × ``PredictQuant``
+  combination), plus a projection-encoder model and a frozen-scaler
+  ``partial_fit`` sequence.  ``tests/test_estimator_golden.py`` retrains
+  with the same seeds and asserts bit-identical predictions;
+* ``v1_*`` — the predictions of the checked-in ``v1_*.npz`` model files,
+  loaded through the compat loader.
+  ``tests/test_serialization_matrix.py`` asserts they stay bit-exact.
 
-The v1 files can only be regenerated by code that still writes format
-v1 — i.e. they are historical artefacts, not reproducible outputs.  Do
-not delete and regenerate them with a v2-era tree.
+The ``v1_*.npz`` files are inputs, never outputs: they were written by
+the format-v1 serializer, which no later tree has, so this script only
+reads them.
 """
 
 from __future__ import annotations
@@ -29,9 +27,11 @@ import numpy as np
 from repro import BaselineHD, MultiModelRegHD, RegHDConfig, SingleModelRegHD
 from repro.core import ClusterQuant, ConvergencePolicy, PredictQuant
 from repro.encoding import RandomProjectionEncoder
-from repro.serialization import save_model
+from repro.serialization import load_model
 
 HERE = pathlib.Path(__file__).resolve().parent
+#: the checked-in format-v1 model files
+V1_FILES = ("v1_single", "v1_baseline", "v1_multi_quant", "v1_projection")
 
 DIM = 96
 SEED = 1234
@@ -65,28 +65,16 @@ def main() -> None:
     single = SingleModelRegHD(4, dim=DIM, seed=SEED, convergence=CONV)
     single.fit(X, y)
     golden["single"] = single.predict(X_query)
-    save_model(single, HERE / "v1_single.npz")
 
     baseline = BaselineHD(4, dim=DIM, n_bins=8, seed=SEED, convergence=CONV)
     baseline.fit(X, y)
     golden["baseline_hd"] = baseline.predict(X_query)
-    save_model(baseline, HERE / "v1_baseline.npz")
 
     for cq in ClusterQuant:
         for pq in PredictQuant:
             model = MultiModelRegHD(4, multi_config(cq, pq))
             model.fit(X, y)
             golden[f"multi_{cq.value}_{pq.value}"] = model.predict(X_query)
-
-    quant = MultiModelRegHD(
-        4, multi_config(ClusterQuant.FRAMEWORK, PredictQuant.BINARY_QUERY)
-    )
-    quant.fit(X, y)
-    save_model(
-        quant,
-        HERE / "v1_multi_quant.npz",
-        extra={"stream": {"batch": 7, "forgetting": 0.97}},
-    )
 
     proj = SingleModelRegHD(
         4,
@@ -95,7 +83,6 @@ def main() -> None:
     )
     proj.fit(X, y)
     golden["single_projection"] = proj.predict(X_query)
-    save_model(proj, HERE / "v1_projection.npz")
 
     # Frozen-scaler streaming path: the first partial_fit batch freezes the
     # target scaling, later batches must reuse it.
@@ -106,8 +93,11 @@ def main() -> None:
         stream.partial_fit(X[start : start + 24], y[start : start + 24])
     golden["multi_partial_fit"] = stream.predict(X_query)
 
+    for name in V1_FILES:
+        golden[name] = load_model(HERE / f"{name}.npz").predict(X_query)
+
     np.savez(HERE / "golden_predictions.npz", **golden)
-    print(f"wrote {len(golden)} golden entries + 4 v1 model files to {HERE}")
+    print(f"wrote {len(golden)} golden entries to {HERE}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Property tests: the row-block forms of the encode/normalise/query
 arithmetic give the same bits as the whole-batch forms they replace.
 
-An encoded batch is one float matrix because the encoder's cosine term,
-the row norms, the binarisation scales and the sign similarities each
-work one row block at a time, and the normalisation divides in place.
+An encoded batch is one float matrix because the encoder works in place
+in its output, the row norms, the binarisation scales and the sign
+similarities each work one row block at a time, and the normalisation
+divides in place.
 Every step is per-element or per-row (and sign products are sums of ±1,
 exact in float64), so none of them may move a bit.
 """
@@ -62,7 +63,7 @@ class TestNormalizeInPlace:
         np.testing.assert_array_equal(_bits(row_norms(S)), _bits(expected))
 
 
-class TestBlockedEncode:
+class TestEncodeInPlace:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n=st.integers(min_value=1, max_value=40),
@@ -70,33 +71,22 @@ class TestBlockedEncode:
         features=st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=25, deadline=None)
-    def test_one_block_scratch_equals_full_scratch(
-        self, seed, n, dim, features
-    ):
-        """The encoder's one-block cosine scratch encodes every row as
-        the engine tile's full-size scratch does."""
+    def test_encode_batch_equals_encode_into(self, seed, n, dim, features):
+        """The encoder's fresh-output encode equals the engine tile's
+        :func:`encode_into` into scratch, bit for bit."""
         encoder = NonlinearEncoder(features, dim, seed)
         X = np.random.default_rng(seed).normal(size=(n, features))
-        full = encode_into(
+        tile = encode_into(
             X,
             encoder.bases,
             encoder.phases,
             encoder.scale,
-            np.empty((n, dim)),
+            encoder.sin_phases,
             np.empty((n, dim)),
         )
         np.testing.assert_array_equal(
-            _bits(encoder.encode_batch(X)), _bits(full)
+            _bits(encoder.encode_batch(X)), _bits(tile)
         )
-        one_row = encode_into(
-            X,
-            encoder.bases,
-            encoder.phases,
-            encoder.scale,
-            np.empty((n, dim)),
-            np.empty((1, dim)),
-        )
-        np.testing.assert_array_equal(_bits(one_row), _bits(full))
 
 
 class TestRowTiledDerivations:

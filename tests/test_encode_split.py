@@ -43,23 +43,15 @@ def _rows(n: int, seed: int = 0) -> np.ndarray:
 
 def _operands(encoder: NonlinearEncoder) -> EncoderOperands:
     return EncoderOperands(
-        encoder.bases, encoder.phases, encoder.scale, np.sin(encoder.phases)
+        encoder.bases, encoder.phases, encoder.scale, encoder.sin_phases
     )
 
 
 def _encodings(encoder: NonlinearEncoder, X: np.ndarray) -> list[np.ndarray]:
-    """``encode_batch``'s output, ``encode_into`` with the full-size
-    scratch of an unfused plan tile, and ``encode_pack_tile``'s words and
-    scales."""
+    """``encode_batch``'s output, ``encode_into`` into the scratch of an
+    unfused plan tile, and ``encode_pack_tile``'s words and scales."""
     n, dim = len(X), encoder.dim
-    tile = encode_into(
-        X,
-        encoder.bases,
-        encoder.phases,
-        encoder.scale,
-        np.empty((n, dim)),
-        np.empty((n, dim)),
-    )
+    tile = encode_into(X, *_operands(encoder), np.empty((n, dim)))
     words, scales = encode_pack_tile(X, _operands(encoder), FusedScratch(n, dim))
     return [encoder.encode_batch(X), tile, words.copy(), scales.copy()]
 
@@ -84,8 +76,8 @@ def test_split_encodes_are_bit_identical(monkeypatch, rows, dim):
 
 def test_errstate_holds_in_the_helpers_half(monkeypatch):
     """The only infinite row is the last, in the helper's half; under
-    ``np.errstate(invalid="raise")`` its cosine or sine raises in the
-    caller, as in one pass."""
+    ``np.errstate(invalid="raise")`` its sine raises in the caller, as in
+    one pass."""
     monkeypatch.setattr(halves, "SPLIT_ELEMENTS", ON)
     encoder = _encoder(4096)
     X = np.zeros((8, 6))

@@ -8,8 +8,9 @@ retrain with the same seeds on the rebased stack and require
 behaviourally invisible.
 
 If a deliberate numerics change ever invalidates these, regenerate with
-``PYTHONPATH=src python tests/fixtures/generate_fixtures.py`` *and* call
-the change out loudly: it breaks bit-compat with previously saved models.
+``PYTHONPATH=src python tests/fixtures/generate_fixtures.py`` (it rewrites
+``golden_predictions.npz`` only) *and* call the change out loudly: it
+breaks bit-compat with previously saved models.
 """
 
 import pathlib

@@ -22,6 +22,11 @@ SCALER_MODULE = SRC / "repro" / "core" / "estimator.py"
 RUNTIME_DIR = SRC / "repro" / "runtime"
 #: the compiled inference engine
 ENGINE_DIR = SRC / "repro" / "engine"
+#: the encoders and the shared HD ops
+ENCODING_DIR = SRC / "repro" / "encoding"
+OPS_DIR = SRC / "repro" / "ops"
+#: the one Eq.-(1) kernel's module
+EQ1_KERNEL = ENCODING_DIR / "nonlinear.py"
 #: symbolic HD binding (uint8 XOR) — an ops primitive, not a packed kernel
 BINDING_OPS = SRC / "repro" / "ops" / "binding.py"
 #: the telemetry layer — the only sanctioned wall-clock site
@@ -165,17 +170,24 @@ def test_no_softmax_calls_outside_runtime():
 
 
 def test_no_eq1_encode_in_engine_or_runtime():
-    """Eq. (1) has one float implementation,
-    :func:`repro.encoding.nonlinear.encode_into`, which the unfused
-    serving tile calls; the fused single-trig encode needs no cosine.
-    A ``np.cos(`` in the engine or the runtime is a re-derived encoder."""
-    serving = set(ENGINE_DIR.rglob("*.py")) | _runtime_sources()
-    hits = _offending_lines(
-        r"np\.cos\(", exclude=set(_python_sources()) - serving
+    """Eq. (1) has one kernel, :func:`repro.encoding.nonlinear.double_h`,
+    which the float encoder and the fused serving tile both call.  No
+    ``np.cos(`` belongs in the encoders, the engine, the runtime or the
+    ops, and ``np.sin(`` only in the kernel's module, ``sin φ`` included:
+    anything else there is a second Eq.-(1) formula."""
+    serving = (
+        set(ENGINE_DIR.rglob("*.py"))
+        | _runtime_sources()
+        | set(ENCODING_DIR.rglob("*.py"))
+        | set(OPS_DIR.rglob("*.py"))
     )
+    outside = set(_python_sources()) - serving
+    hits = _offending_lines(r"np\.cos\(", exclude=outside)
+    hits += _offending_lines(r"np\.sin\(", exclude=outside | {EQ1_KERNEL})
     assert not hits, (
-        "Eq. (1) cosine in repro/engine or repro/runtime — call "
-        "repro.encoding.nonlinear.encode_into:\n" + "\n".join(hits)
+        "Eq. (1) trig outside its kernel — call "
+        "repro.encoding.nonlinear.encode_into or double_h:\n"
+        + "\n".join(hits)
     )
 
 

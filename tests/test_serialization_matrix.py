@@ -152,7 +152,8 @@ def test_classifier_round_trip(tmp_path):
 class TestV1Compat:
     """The checked-in v1 fixtures were written by the pre-registry
     serializer; the compat loader must keep reading them, and their
-    predictions must equal the golden entries recorded at write time."""
+    predictions must equal their own golden entries, which
+    ``tests/fixtures/generate_fixtures.py`` records from the files."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -165,21 +166,13 @@ class TestV1Compat:
         return rng.normal(size=(16, 4))
 
     @pytest.mark.parametrize(
-        ("fixture", "golden_key"),
-        [
-            ("v1_single.npz", "single"),
-            ("v1_baseline.npz", "baseline_hd"),
-            ("v1_multi_quant.npz", "multi_framework_binary_query"),
-            ("v1_projection.npz", "single_projection"),
-        ],
+        "name", ["v1_single", "v1_baseline", "v1_multi_quant", "v1_projection"]
     )
-    def test_v1_file_loads_and_predicts_bit_exactly(
-        self, golden, query, fixture, golden_key
-    ):
-        path = FIXTURES / fixture
+    def test_v1_file_loads_and_predicts_bit_exactly(self, golden, query, name):
+        path = FIXTURES / f"{name}.npz"
         assert read_metadata(path)["format_version"] == 1
         model = load_model(path)
-        np.testing.assert_array_equal(model.predict(query), golden[golden_key])
+        np.testing.assert_array_equal(model.predict(query), golden[name])
 
     def test_v1_extra_metadata_survives(self):
         meta = read_metadata(FIXTURES / "v1_multi_quant.npz")
