@@ -26,8 +26,9 @@ with ``p = F . B * scale``: one transcendental per component instead of
 two, since ``sin(b)`` is fixed per encoder.  :func:`double_h` is the one
 kernel for it.  The float encoder halves its output once (exact for normal
 floats) and the fused serving tile (:mod:`repro.runtime.fused`) keeps
-``2H``, so both derive every sign bit from the same float.  In floats the
-identity's ``H`` differs from the product form by a few ulps.
+``2H``, so wherever their projections round alike both take every sign
+bit from the same float.  In floats the identity's ``H`` differs from the
+product form by a few ulps.
 """
 
 from __future__ import annotations
@@ -190,14 +191,8 @@ class NonlinearEncoder(Encoder):
         return self._scale
 
     def _encode_batch(self, X: FloatArray) -> FloatArray:
-        return encode_into(
-            X,
-            self._bases,
-            self._phases,
-            self._scale,
-            self._sin_phases,
-            np.empty((len(X), self.dim)),
-        )
+        ops = (self._bases, self._phases, self._scale, self._sin_phases)
+        return encode_into(X, *ops, np.empty((len(X), self.dim)))
 
     def get_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """State-protocol snapshot: hyper-parameters plus frozen arrays."""

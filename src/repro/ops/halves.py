@@ -2,28 +2,35 @@
 
 Eq. (1) computes every hypervector component on its own, the
 dimension-wise independence HD hardware parallelises.  The encoders'
-transcendental passes (:func:`repro.encoding.nonlinear.encode_into` and
+sine passes (:func:`repro.encoding.nonlinear.encode_into` and
 :func:`repro.runtime.fused.encode_pack_tile`) therefore cut a pass into two
-disjoint halves of one buffer: the calling thread computes the first and
-one process-wide helper thread the second, each in place.  numpy releases
+disjoint row halves of one buffer (:func:`run_rows`): the calling thread
+computes the first and one process-wide helper thread the second, each in
+place.  numpy releases
 the interpreter lock inside a ufunc loop over a large array, so the halves
 run at once, and every element goes through the same ufunc as in one
 pass, so the output is bit for bit the same.  Only elementwise work may be
 split this way: a reduction or a BLAS call cut in two can round
 differently.
 
-A caller splits a pass only when it holds at least :data:`SPLIT_ELEMENTS`
-components.  The constant was measured on two vCPUs of a KVM guest, where
-handing the helper an empty pass and waiting for it costs about 14 µs.
-Timed split against whole at D=4096, the fused encode→pack and the float
-encode ran 1.16-1.27x and 1.39-1.55x faster at 16 384 components (4 rows)
-and 1.42-1.52x and 1.64-1.77x at 32 768 (8 rows); at 8 192 the fused
-encode read 0.96-1.35x, and at 4 096, a 1-row point query, the split lost
-(0.55-0.79x).  So a 1-row query at D=4096 never splits, and a 4-row one
-does.  The gain assumes the second CPU is otherwise idle: the affinity
-mask does not show a CPU quota, and where caller threads already keep
-both CPUs busy the helper only competes with them (two threads reading
-8 rows at a time through one fused plan served 14 % fewer reads).
+A caller splits a pass only when it holds two rows or more and at least
+:data:`SPLIT_ELEMENTS` components.  The constant was measured on two vCPUs
+of a KVM guest, where handing the helper an empty pass and waiting for it
+costs about 14 µs: split against whole at D=4096, the fused encode→pack
+ran 1.16-1.27x faster at 16 384 components (4 rows) and 1.42-1.52x at
+32 768 (8 rows), 0.96-1.35x at 8 192, and lost at 4 096, a 1-row point
+query (0.55-0.79x).  Re-timed on the one-sine float encode and on distinct
+rows (a repeated row lets the CPU learn glibc's sine branches: 4 096 sines
+took 30 µs on one and 78 µs on distinct rows), its split read 0.95x, 0.97x
+and 0.97x at 2, 4 and 8 rows in a host phase where two ``np.sin`` threads
+scaled 0.83-1.21x, 1.36x, 1.52x and 1.44x in one where the second vCPU
+ran, and 0.92x, 0.94x and 0.98x a minute later (medians of 9 alternating
+pairs).  The gain follows the host, not the pass size, and no workload
+encodes 2-3 rows at D=4096, so the constant stays.  The gain assumes the
+second CPU is otherwise idle: the affinity mask does not show a CPU
+quota, and where caller threads already keep both CPUs busy the helper
+only competes with them (two threads reading 8 rows at a time through one
+fused plan served 14 % fewer reads).
 
 The helper:
 

@@ -166,13 +166,19 @@ class TestV1Compat:
         return rng.normal(size=(16, 4))
 
     @pytest.mark.parametrize(
-        "name", ["v1_single", "v1_baseline", "v1_multi_quant", "v1_projection"]
+        "fixture",
+        [
+            "v1_single.npz",
+            "v1_baseline.npz",
+            "v1_multi_quant.npz",
+            "v1_projection.npz",
+        ],
     )
-    def test_v1_file_loads_and_predicts_bit_exactly(self, golden, query, name):
-        path = FIXTURES / f"{name}.npz"
+    def test_v1_file_loads_and_predicts_bit_exactly(self, golden, query, fixture):
+        path = FIXTURES / fixture
         assert read_metadata(path)["format_version"] == 1
         model = load_model(path)
-        np.testing.assert_array_equal(model.predict(query), golden[name])
+        np.testing.assert_array_equal(model.predict(query), golden[path.stem])
 
     def test_v1_extra_metadata_survives(self):
         meta = read_metadata(FIXTURES / "v1_multi_quant.npz")
